@@ -17,20 +17,19 @@
 //! derived job id (fig10 and fig11 share their whole grid), executed in
 //! parallel with bit-deterministic results, and written both as the
 //! familiar stdout tables and as machine-readable JSON
-//! (`BENCH_experiments.json`) for the per-PR perf trajectory.
+//! (`BENCH_experiments.json`).
 //!
 //! Scaling knobs: `DRS_RAYS`, `DRS_TRIS_SCALE`, `DRS_WARPS_SCALE` (see the
 //! `drs-bench` crate docs). Absolute Mrays/s values depend on the scaled
 //! workloads; the comparisons (who wins, by what factor) are the result.
 
-use drs_bench::cli;
-use drs_bench::{figures, Aggregate};
+use drs_bench::{cli, Aggregate};
 use drs_core::overhead::{dmk_spawn_memory_bytes, paper, tbc_warp_buffer_bytes, DrsOverhead};
 use drs_core::DrsConfig;
 use drs_harness::{
-    run_jobs, CaptureMode, CellResult, CheckpointSpec, ChipConfig, FaultPlan, JobId, Method,
-    ResultStore, ResultsFile, RunOptions, Scale, Server, ServerOptions, SimJob, StreamCache,
-    WorkloadSpec,
+    figures, run_jobs, CaptureMode, CellResult, CheckpointSpec, ChipConfig, FaultPlan, JobId,
+    Method, ResultStore, ResultsFile, RunOptions, Scale, Server, ServerOptions, SimJob,
+    StreamCache, WorkloadSpec,
 };
 use drs_scene::SceneKind;
 use drs_sim::{ActiveHistogram, GpuConfig};
@@ -85,10 +84,6 @@ fn main() {
         return;
     }
     // Standalone utility modes: neither runs the figure pipeline below.
-    if cli.mode == "perf" {
-        perf_mode(&cli, &scale);
-        return;
-    }
     if cli.mode == "report" {
         report_mode(&cli);
         return;
@@ -351,18 +346,6 @@ fn list_modes(scale: &Scale) {
             continue;
         }
         match mode {
-            "perf" => {
-                let jobs: usize = PERF_FIGURES
-                    .iter()
-                    .map(|f| figures::by_name(f, scale).unwrap().jobs.len())
-                    .sum();
-                println!(
-                    "{:10} {:>6}  {} grids twice (fast path vs naive) -> BENCH_sim.json",
-                    mode,
-                    jobs * 2,
-                    PERF_FIGURES.join("+")
-                );
-            }
             "report" => {
                 println!("{:10} {:>6}  render BENCH_experiments.json -> RESULTS.md", mode, 0);
             }
@@ -387,282 +370,6 @@ fn list_modes(scale: &Scale) {
                 }
                 None => println!("{:10} {:>6}  (print-only, no simulation)", mode, 0),
             },
-        }
-    }
-}
-
-/// The grids the perf baseline times: fig2 (latency-bound single-method
-/// column) and fig8 (the big memory-bound backup-row sweep — where cycle
-/// skipping pays most).
-const PERF_FIGURES: [&str; 2] = ["fig2", "fig8"];
-
-/// `perf` mode: the simulator's own perf baseline. Runs the perf grids
-/// twice — event-driven fast path, then naive per-cycle stepping —
-/// asserts the two passes produced bit-identical stats, and writes the
-/// wall-clock comparison to `BENCH_sim.json` (or `--out` when overridden)
-/// for CI regression gating.
-fn perf_mode(cli: &cli::Cli, scale: &Scale) {
-    use drs_sim::JsonBuf;
-    if cli.chip {
-        chip_perf_mode(cli, scale);
-        return;
-    }
-    banner("Simulator perf: event-driven fast path vs naive stepping");
-    let out = if cli.out == std::path::Path::new("BENCH_experiments.json") {
-        std::path::PathBuf::from("BENCH_sim.json")
-    } else {
-        cli.out.clone()
-    };
-    // Read the committed baseline up front, so gating against the same
-    // path this run is about to overwrite still compares old vs new.
-    let baseline = cli.perf_baseline.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: could not read perf baseline {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        let doc = drs_telemetry::check::parse(&text).unwrap_or_else(|e| {
-            eprintln!("error: perf baseline {} is not valid JSON: {e}", path.display());
-            std::process::exit(1);
-        });
-        drs_bench::perf::perf_cells(&doc).unwrap_or_else(|| {
-            eprintln!("error: {} is not a drs-sim-perf baseline", path.display());
-            std::process::exit(1);
-        })
-    });
-    let mut measured: Vec<drs_bench::perf::PerfCell> = Vec::new();
-    let opts = |fastpath: bool| RunOptions {
-        workers: cli.workers,
-        capture: if cli.use_cache {
-            CaptureMode::Cached(StreamCache::new(StreamCache::default_dir()))
-        } else {
-            CaptureMode::Uncached
-        },
-        progress: cli.progress,
-        fastpath,
-        ..RunOptions::serial()
-    };
-    let mut j = JsonBuf::new();
-    j.begin_obj();
-    j.kv_u64("schema_version", 1);
-    j.kv_str("suite", "drs-sim-perf");
-    j.kv_u64("workers", cli.workers as u64);
-    j.key("figures");
-    j.begin_arr();
-    let mut mismatches = 0usize;
-    for fig in PERF_FIGURES {
-        let set = figures::by_name(fig, scale).expect("perf figures are simulation modes");
-        let fast = run_jobs(&set.jobs, &opts(true));
-        let naive = run_jobs(&set.jobs, &opts(false));
-        let mut sim_cycles = 0u64;
-        let mut wall_fast = 0.0f64;
-        let mut wall_naive = 0.0f64;
-        j.begin_obj();
-        j.kv_str("figure", fig);
-        j.key("cells");
-        j.begin_arr();
-        for (f, n) in fast.cells.iter().zip(&naive.cells) {
-            if f.stats != n.stats {
-                eprintln!("error: fast path changed results for {}", f.cell_name());
-                mismatches += 1;
-            }
-            if f.empty {
-                continue;
-            }
-            sim_cycles += f.stats.cycles;
-            wall_fast += f.wall_ms;
-            wall_naive += n.wall_ms;
-            let cycles_per_sec_fast = f.stats.cycles as f64 / (f.wall_ms / 1e3).max(1e-12);
-            measured.push((fig.to_string(), f.cell_name(), f.stats.cycles as f64, f.wall_ms));
-            j.begin_obj();
-            j.kv_str("cell", &f.cell_name());
-            j.kv_u64("sim_cycles", f.stats.cycles);
-            j.kv_f64("wall_ms_fast", f.wall_ms);
-            j.kv_f64("wall_ms_naive", n.wall_ms);
-            j.kv_f64("speedup", n.wall_ms / f.wall_ms.max(1e-9));
-            j.kv_f64("cycles_per_sec_fast", cycles_per_sec_fast);
-            j.kv_f64("cycles_per_sec_naive", n.stats.cycles as f64 / (n.wall_ms / 1e3).max(1e-12));
-            j.end_obj();
-        }
-        j.end_arr();
-        j.kv_u64("sim_cycles", sim_cycles);
-        j.kv_f64("wall_ms_fast", wall_fast);
-        j.kv_f64("wall_ms_naive", wall_naive);
-        j.kv_f64("speedup", wall_naive / wall_fast.max(1e-9));
-        j.end_obj();
-        println!(
-            "{fig}: {} cells, {:.3e} sim-cycles; fast {:.0} ms, naive {:.0} ms, speedup {:.2}x",
-            fast.cells.len(),
-            sim_cycles as f64,
-            wall_fast,
-            wall_naive,
-            wall_naive / wall_fast.max(1e-9)
-        );
-    }
-    j.end_arr();
-    j.end_obj();
-    if mismatches > 0 {
-        eprintln!("error: {mismatches} cell(s) differ between fast path and naive stepping");
-        std::process::exit(1);
-    }
-    match drs_harness::write_text(&out, &j.finish()) {
-        Ok(()) => println!("[perf baseline -> {}]", out.display()),
-        Err(e) => {
-            eprintln!("error: could not write {}: {e}", out.display());
-            std::process::exit(1);
-        }
-    }
-    if let Some(baseline) = baseline {
-        use drs_bench::perf::{compare, REGRESSION_TOLERANCE};
-        let gate = compare(&baseline, &measured, REGRESSION_TOLERANCE);
-        let path = cli.perf_baseline.as_ref().unwrap();
-        if !gate.slow_cells.is_empty() {
-            eprintln!(
-                "warning: {} cell(s) individually more than {:.0}% slower than {} \
-                 (noisy at CI cell durations; the gate judges the aggregate):",
-                gate.slow_cells.len(),
-                REGRESSION_TOLERANCE * 100.0,
-                path.display()
-            );
-            for msg in &gate.slow_cells {
-                eprintln!("  {msg}");
-            }
-        }
-        if gate.regresses(REGRESSION_TOLERANCE) {
-            eprintln!(
-                "error: aggregate simulator throughput is {:.0}% below {} \
-                 ({} paired cells; tolerance {:.0}%)",
-                (1.0 - gate.ratio) * 100.0,
-                path.display(),
-                gate.cells_compared,
-                REGRESSION_TOLERANCE * 100.0
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "[perf gate: {} paired cells, aggregate throughput {:.2}x baseline — pass]",
-            gate.cells_compared, gate.ratio
-        );
-    }
-}
-
-/// `perf --chip`: chip-accurate vs SMX-count-scaled throughput. Runs a
-/// small scene × method × bounce grid twice — once as classic single-SMX
-/// cells scaled by `--sms`, once as full chips of `--sms` SMs sharing one
-/// L2/MSHR/DRAM system — and writes the per-cell Mrays/s deltas plus the
-/// shared-memory contention counters to `BENCH_chip.json` (or `--out`
-/// when overridden). The delta *is* the measurement: it quantifies how
-/// much the usual "multiply one SMX by 15" extrapolation overstates (or
-/// understates) whole-chip throughput once SMs contend for the L2, the
-/// MSHR pool, and DRAM bandwidth.
-fn chip_perf_mode(cli: &cli::Cli, scale: &Scale) {
-    use drs_sim::JsonBuf;
-    banner("Chip perf: full-chip simulation vs SMX-count-scaled extrapolation");
-    let chip = ChipConfig::gtx780(cli.sms);
-    let mut gpu = GpuConfig::gtx780();
-    gpu.smx_count = cli.sms;
-    let out = if cli.out == std::path::Path::new("BENCH_experiments.json") {
-        std::path::PathBuf::from("BENCH_chip.json")
-    } else {
-        cli.out.clone()
-    };
-
-    // A small but representative grid: a closed and an open scene, the
-    // Aila baseline and the default DRS config, two bounces each.
-    let scenes = [SceneKind::Conference, SceneKind::FairyForest];
-    let methods = [Method::Aila, Method::drs_default()];
-    let mut scaled_jobs = Vec::new();
-    for scene in scenes {
-        let workload = WorkloadSpec::standard(scene, scale, figures::CANONICAL_DEPTH);
-        for method in methods {
-            for bounce in 1..=2 {
-                scaled_jobs.push(SimJob {
-                    workload,
-                    bounce,
-                    method,
-                    warps: scale.warps(method.paper_warps()),
-                    chip: None,
-                });
-            }
-        }
-    }
-    let chip_jobs: Vec<SimJob> =
-        scaled_jobs.iter().map(|j| SimJob { chip: Some(chip), ..*j }).collect();
-
-    let opts = || RunOptions {
-        workers: cli.workers,
-        capture: if cli.use_cache {
-            CaptureMode::Cached(StreamCache::new(StreamCache::default_dir()))
-        } else {
-            CaptureMode::Uncached
-        },
-        progress: cli.progress,
-        fastpath: cli.fastpath,
-        chip_threads: cli.chip_threads,
-        ..RunOptions::serial()
-    };
-    let scaled = run_jobs(&scaled_jobs, &opts());
-    let chips = run_jobs(&chip_jobs, &opts());
-
-    let mut j = JsonBuf::new();
-    j.begin_obj();
-    j.kv_u64("schema_version", 1);
-    j.kv_str("suite", "drs-chip-perf");
-    j.kv_u64("sms", cli.sms as u64);
-    j.kv_str("chip_config", &chip.canonical());
-    j.key("cells");
-    j.begin_arr();
-    let mut failures = 0usize;
-    let mut compared = 0usize;
-    for (s, c) in scaled.cells.iter().zip(&chips.cells) {
-        if s.failure.is_some() || c.failure.is_some() {
-            eprintln!("error: chip-perf cell failed: {}", s.cell_name());
-            failures += 1;
-            continue;
-        }
-        if s.empty {
-            continue;
-        }
-        let summary = c.chip.as_ref().expect("completed chip cells carry a summary");
-        let mrays_scaled = s.mrays_per_sec(&gpu);
-        let mrays_chip = c.mrays_per_sec(&gpu);
-        let delta_pct = (mrays_chip / mrays_scaled.max(1e-12) - 1.0) * 100.0;
-        compared += 1;
-        j.begin_obj();
-        j.kv_str("cell", &s.cell_name());
-        j.kv_f64("mrays_scaled", mrays_scaled);
-        j.kv_f64("mrays_chip", mrays_chip);
-        j.kv_f64("delta_pct", delta_pct);
-        j.kv_f64("l2_hit_rate_scaled", s.stats.l2.hit_rate());
-        j.kv_f64("l2_hit_rate_chip", summary.l2_hit_rate());
-        j.kv_u64("chip_cycles", c.stats.cycles);
-        j.kv_u64("dram_lines", summary.dram_lines);
-        j.kv_u64("dram_queue_cycles", summary.dram_queue_cycles);
-        j.kv_u64("bank_conflict_cycles", summary.bank_conflict_cycles);
-        j.kv_u64("mshr_merges", summary.mshr_merges);
-        j.kv_u64("mshr_waits", summary.mshr_waits);
-        j.end_obj();
-        println!(
-            "{:32} scaled {:7.1} Mrays/s  chip {:7.1} Mrays/s  ({:+5.1}%)  L2 {:4.1}% -> {:4.1}%",
-            s.cell_name(),
-            mrays_scaled,
-            mrays_chip,
-            delta_pct,
-            s.stats.l2.hit_rate() * 100.0,
-            summary.l2_hit_rate() * 100.0
-        );
-    }
-    j.end_arr();
-    j.kv_u64("cells_compared", compared as u64);
-    j.end_obj();
-    if failures > 0 || compared < 2 {
-        eprintln!("error: chip-perf needs >= 2 clean comparison cells, got {compared}");
-        std::process::exit(1);
-    }
-    match drs_harness::write_text(&out, &j.finish()) {
-        Ok(()) => println!("[chip perf -> {}]", out.display()),
-        Err(e) => {
-            eprintln!("error: could not write {}: {e}", out.display());
-            std::process::exit(1);
         }
     }
 }

@@ -5,18 +5,16 @@
 
 use std::path::PathBuf;
 
-/// Every mode the binary accepts, in `all`-run order. `perf`, `report`,
-/// `verify`, `serve`, and `submit` are standalone utilities: `perf` times
-/// the simulator itself (fast path vs naive stepping) and writes
-/// `BENCH_sim.json`; `report` renders an existing
-/// `BENCH_experiments.json` into `RESULTS.md`; `verify` runs the static
-/// analyses over every registered kernel program and writes a
+/// Every mode the binary accepts, in `all`-run order. `report`, `verify`,
+/// `serve`, and `submit` are standalone utilities: `report` renders an
+/// existing `BENCH_experiments.json` into `RESULTS.md`; `verify` runs the
+/// static analyses over every registered kernel program and writes a
 /// machine-readable report; `serve` runs the crash-safe experiment
 /// service on a Unix socket; `submit` is its client. None is part of
 /// `all`.
-pub const MODES: [&str; 16] = [
+pub const MODES: [&str; 15] = [
     "table1", "fig2", "fig8", "fig9", "table2", "fig10", "fig11", "overhead", "ablation", "energy",
-    "perf", "report", "verify", "serve", "submit", "all",
+    "report", "verify", "serve", "submit", "all",
 ];
 
 /// Usage text printed on `--help` and on flag errors.
@@ -29,9 +27,6 @@ pool and records every simulated cell to a machine-readable JSON file.
 Modes:
   table1 | fig2 | fig8 | fig9 | table2 | fig10 | fig11 |
   overhead | ablation | energy | all        (default: all)
-  perf             simulator perf baseline: run the fig2+fig8 grids twice
-                   (fast path on, then naive stepping), assert bit-identical
-                   stats, write wall-clock timings to BENCH_sim.json
   report           render an existing BENCH_experiments.json (see --out)
                    into RESULTS.md, comparing measured speedups against
                    the paper's headline numbers
@@ -58,8 +53,7 @@ Options:
                    for `report`, the results file to read
   --no-cache       always recapture ray streams; skip target/drs-cache
   --no-fastpath    disable the engine's event-driven cycle skipping and
-                   step every cycle (results are bit-identical either way;
-                   this is the reference path the perf harness times)
+                   step every cycle (results are bit-identical either way)
   --stats-dump PATH after the run, also write a deterministic stats-only
                    JSON dump of every cell (no wall-clock fields) — two
                    runs with identical inputs produce byte-identical dumps,
@@ -85,14 +79,10 @@ Options:
                    to an uninterrupted run
   --chip           full-chip mode: run every cell as --sms per-SM engines
                    against one shared L2/MSHR/DRAM memory system instead
-                   of a single SMX scaled by the SMX count; in `perf` mode
-                   also writes a chip-vs-scaled comparison to BENCH_chip.json
+                   of a single SMX scaled by the SMX count
   --sms N          SMs per chip cell (default: 15, the GTX 780)
   --chip-threads N worker threads sharding the SMs inside each chip cell
                    (results are bit-identical for any value; default: 1)
-  --perf-baseline PATH (perf mode) compare the new timings against a
-                   committed BENCH_sim.json; exit 1 when any cell's
-                   cycles/sec falls more than 25% below its baseline
   --inject SPEC    deterministic fault injection, e.g.
                    'seed=7,panic@1,cache~4x1,watchdog@2,budget@0'
                    (kinds panic|cache|watchdog|budget|chipcfg|store|
@@ -166,9 +156,6 @@ pub struct Cli {
     pub sms: usize,
     /// Worker threads inside each chip cell's window loop.
     pub chip_threads: usize,
-    /// `perf` mode: committed `BENCH_sim.json` to gate against — any
-    /// cell more than 25% slower than its baseline fails the run.
-    pub perf_baseline: Option<PathBuf>,
     /// Deterministic fault-injection spec (`--inject`), parsed downstream
     /// by [`FaultPlan::parse`](drs_harness::FaultPlan::parse).
     pub inject: Option<String>,
@@ -210,7 +197,6 @@ impl Default for Cli {
             chip: false,
             sms: 15,
             chip_threads: 1,
-            perf_baseline: None,
             inject: None,
             store: false,
             store_dir: None,
@@ -367,9 +353,6 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
                     .ok()
                     .filter(|&n| n >= 1)
                     .ok_or(format!("--chip-threads expects a positive integer, got '{v}'"))?;
-            }
-            "--perf-baseline" => {
-                cli.perf_baseline = Some(PathBuf::from(value("--perf-baseline")?));
             }
             "--inject" => cli.inject = Some(value("--inject")?),
             "--store" => cli.store = true,
@@ -544,16 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn perf_baseline_flag_both_syntaxes() {
-        let a = p(&["perf", "--perf-baseline", "BENCH_sim.json"]).unwrap();
-        let b = p(&["perf", "--perf-baseline=BENCH_sim.json"]).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.perf_baseline, Some(PathBuf::from("BENCH_sim.json")));
-        assert_eq!(p(&["perf"]).unwrap().perf_baseline, None);
-        assert!(p(&["--perf-baseline"]).unwrap_err().contains("requires a value"));
-    }
-
-    #[test]
     fn checkpoint_path_sits_next_to_out() {
         let cli = p(&["--out", "results/BENCH_experiments.json"]).unwrap();
         assert_eq!(
@@ -638,6 +611,7 @@ mod tests {
     fn bad_inputs_are_rejected_with_messages() {
         for (args, needle) in [
             (&["frob"][..], "unknown mode"),
+            (&["perf"][..], "unknown mode"),
             (&["--frob"][..], "unknown flag"),
             (&["--jobs"][..], "requires a value"),
             (&["--jobs", "0"][..], "positive integer"),

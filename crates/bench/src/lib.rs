@@ -1,14 +1,14 @@
-//! Experiment front-end: paper-figure presentation and micro-benches.
+//! Experiment front-end: paper-figure presentation.
 //!
 //! The orchestration machinery — job model, worker pool, capture cache,
-//! machine-readable results — lives in the `drs-harness` crate and is
-//! re-exported here. This crate keeps what is specific to *presenting*
-//! the paper's evaluation: the `experiments` binary (one mode per paper
-//! table/figure, see [`cli`]) and the dependency-free [`microbench`]
-//! benches under `benches/`.
+//! machine-readable results — lives in the `drs-harness` crate. This crate
+//! keeps what is specific to *presenting* the paper's evaluation: the
+//! `experiments` binary (one mode per paper table/figure, see [`cli`]) and
+//! the `RESULTS.md` renderer ([`report`]). Timing the simulator itself is
+//! the job of the benchmark package under `src/bin/benchmark`.
 //!
 //! Scaling knobs (environment variables, resolved once per process via
-//! [`Scale::from_env`]):
+//! [`drs_harness::Scale::from_env`]):
 //!
 //! - `DRS_RAYS` — rays captured per bounce (default 24000; the paper uses
 //!   2 000 000 per bounce on a hardware-speed simulator),
@@ -20,63 +20,9 @@
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod microbench;
-pub mod perf;
 pub mod report;
 
-pub use drs_harness::{
-    figures, parallel_map, run_jobs, run_method_with_warps, CacheCounters, CaptureMode, CellResult,
-    ChipConfig, ChipSummary, JobId, JobSet, Method, ResultsFile, RunOptions, RunReport, Scale,
-    SimJob, StreamCache, WorkloadSpec,
-};
-
-use drs_scene::SceneKind;
 use drs_sim::{GpuConfig, SimStats};
-use drs_trace::{BounceStreams, RayScript};
-
-/// Rays captured per bounce (`DRS_RAYS`).
-pub fn rays_per_bounce() -> usize {
-    Scale::from_env().rays
-}
-
-/// Scene scale relative to the paper's assets (`DRS_TRIS_SCALE`).
-pub fn tris_scale() -> f64 {
-    Scale::from_env().tris_scale
-}
-
-/// Run one method over one ray stream to completion, with the warp count
-/// the paper assigns the method (scaled by `DRS_WARPS_SCALE`).
-///
-/// # Panics
-///
-/// Panics if the simulation fails (cycle cap, watchdog — a modelling bug).
-pub fn run_method(method: Method, scripts: &[RayScript]) -> SimStats {
-    let scale = Scale::from_env();
-    run_method_with_warps(method, scale.warps(method.paper_warps()), scripts)
-        .unwrap_or_else(|e| panic!("{} failed: {e}", method.label()))
-}
-
-/// A captured per-scene workload.
-#[derive(Debug)]
-pub struct Workload {
-    /// Which benchmark scene.
-    pub kind: SceneKind,
-    /// Per-bounce ray streams (1-based bounce indices inside).
-    pub streams: BounceStreams,
-}
-
-/// Capture workloads for the given scenes at `bounces` depth (uncached —
-/// harness runs go through [`StreamCache`] instead).
-pub fn capture_workloads(scenes: &[SceneKind], bounces: usize) -> Vec<Workload> {
-    let scale = Scale::from_env();
-    scenes
-        .iter()
-        .map(|&kind| {
-            let spec = WorkloadSpec::standard(kind, &scale, bounces);
-            Workload { kind, streams: spec.capture() }
-        })
-        .collect()
-}
 
 /// Aggregate outcome across bounces: total rays / total cycles, and a
 /// merged issue histogram — the paper's "overall" rows.
@@ -124,55 +70,30 @@ impl Aggregate {
     }
 }
 
-/// Run `method` over every bounce of `streams`, returning per-bounce
-/// statistics plus the aggregate.
-pub fn run_all_bounces(method: Method, streams: &BounceStreams) -> (Vec<SimStats>, Aggregate) {
-    let mut agg = Aggregate::default();
-    let mut outs = Vec::new();
-    for b in 1..=streams.depth() {
-        let stream = streams.bounce(b);
-        if stream.scripts.is_empty() {
-            continue;
-        }
-        let out = run_method(method, &stream.scripts);
-        agg.add(&out);
-        outs.push(out);
-    }
-    (outs, agg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny_env() {
-        std::env::set_var("DRS_RAYS", "400");
-        std::env::set_var("DRS_TRIS_SCALE", "0.01");
-        std::env::set_var("DRS_WARPS_SCALE", "0.15");
-    }
-
-    #[test]
-    fn all_methods_complete_one_bounce() {
-        tiny_env();
-        let wl = capture_workloads(&[SceneKind::Conference], 2);
-        let scripts = &wl[0].streams.bounce(2).scripts;
-        for method in
-            [Method::Aila, Method::Dmk, Method::Tbc, Method::drs_default(), Method::IdealDrs]
-        {
-            let out = run_method(method, scripts);
-            assert!(out.rays_completed > 0, "{} traced no rays", method.label());
-        }
-    }
-
     #[test]
     fn aggregate_accumulates() {
-        tiny_env();
-        let wl = capture_workloads(&[SceneKind::FairyForest], 2);
-        let (outs, agg) = run_all_bounces(Method::Aila, &wl[0].streams);
-        assert!(!outs.is_empty());
-        let sum: u64 = outs.iter().map(|o| o.rays_completed).sum();
-        assert_eq!(agg.rays, sum);
-        assert!(agg.mrays(&GpuConfig::gtx780()) > 0.0);
-        assert!(agg.simd_efficiency() > 0.0);
+        let mut a = SimStats { rays_completed: 100, cycles: 1000, ..SimStats::default() };
+        a.issued.record(32);
+        a.issued.record(32);
+        let mut b = SimStats { rays_completed: 50, cycles: 500, ..SimStats::default() };
+        b.issued.record(16);
+        b.issued_si.record(8);
+
+        let mut agg = Aggregate::default();
+        assert_eq!(agg.mrays(&GpuConfig::gtx780()), 0.0, "no cycles, no throughput");
+        agg.add(&a);
+        agg.add(&b);
+        assert_eq!((agg.rays, agg.cycles), (150, 1500));
+        assert_eq!((agg.issued.total, agg.issued_si.total), (3, 1));
+        let gpu = GpuConfig::gtx780();
+        let expected = 0.1 * f64::from(gpu.clock_mhz) * gpu.smx_count as f64;
+        assert!((agg.mrays(&gpu) - expected).abs() < 1e-9);
+        assert!((agg.mrays_at(gpu.clock_mhz, 1) - 0.1 * f64::from(gpu.clock_mhz)).abs() < 1e-9);
+        // (32 + 32 + 16 + 8) active lanes over 4 issues of 32.
+        assert_eq!(agg.simd_efficiency(), 88.0 / 128.0);
     }
 }

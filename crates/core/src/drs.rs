@@ -762,23 +762,6 @@ impl SpecialUnit for DrsUnit {
             self.initialized = true;
         }
         self.drain_dirty(m);
-        if std::env::var("DRS_DEBUG").is_ok() && cycle.is_multiple_of(500_000) && cycle > 0 {
-            eprintln!("cycle {cycle}: transfers={:?}", self.transfers);
-            for r in 0..self.cfg.rows() {
-                eprintln!(
-                    "  row {r}: {:?} bound={:?} busy={} parked={:?}",
-                    self.counts[r],
-                    self.warp_of_row[r],
-                    self.row_has_busy_slot(r),
-                    self.warp_of_row[r].map(|w| self.parked[w])
-                );
-            }
-            eprintln!(
-                "  queue remaining={} rays_completed={}",
-                m.queue.remaining(),
-                m.rays_completed
-            );
-        }
         // Progress active transfers through idle bank ports.
         let mut idle: Vec<bool> = idle_banks.to_vec();
         let nbanks = idle.len().max(1);

@@ -79,8 +79,9 @@ pub struct RunOptions {
     /// binary's stdout/stderr stay unchanged).
     pub progress: bool,
     /// Engine event-driven fast path (on by default). `false` forces
-    /// naive one-cycle stepping — the reference the perf harness and CI
-    /// A/B smoke compare against; results are bit-identical either way.
+    /// naive one-cycle stepping — the reference the fast-path tests and
+    /// the CI A/B smoke compare against; results are bit-identical either
+    /// way.
     pub fastpath: bool,
     /// Extra attempts after the first for *transient* failures (worker
     /// panics, cache corruption, injected faults). Permanent simulation

@@ -144,8 +144,8 @@ pub fn run_method_with_warps(
 
 /// Like [`run_method_with_warps`], with explicit control over the engine's
 /// event-driven fast path. `fastpath: false` forces naive one-cycle
-/// stepping — the reference behavior the perf harness and the CI A/B smoke
-/// diff against; results are bit-identical either way.
+/// stepping — the reference behavior the fast-path tests and the CI A/B
+/// smoke diff against; results are bit-identical either way.
 ///
 /// # Errors
 ///

@@ -1,10 +1,12 @@
 //! End-to-end A/B proof of the engine's event-driven fast path at the
-//! harness level: over reduced fig2 and fig10 grids — covering all four
-//! methods (Aila / DMK / TBC / DRS) — running with cycle skipping on and
-//! off yields bit-identical `SimStats`, and, with a collector attached,
-//! bit-identical telemetry reports (totals, interval timeline, trace).
+//! harness level: over reduced fig2, fig10 and fig8 grids — covering every
+//! method (Aila / DMK / TBC / DRS) and fig8's whole DRS backup-row sweep,
+//! ideal DRS included — running with cycle skipping on and off completes
+//! every cell with bit-identical `SimStats`, and, with a collector
+//! attached, bit-identical telemetry reports (totals, interval timeline,
+//! trace).
 
-use drs_harness::{figures, pool, ResultsFile, RunOptions, Scale};
+use drs_harness::{figures, pool, Method, ResultsFile, RunOptions, Scale};
 use drs_scene::SceneKind;
 use drs_telemetry::TelemetryConfig;
 
@@ -13,8 +15,10 @@ fn tiny_scale() -> Scale {
     Scale { rays: 260, tris_scale: 0.008, warps_scale: 0.15 }
 }
 
-/// The union of a reduced fig2 grid (conference, bounces ≤ 3) and a
-/// reduced fig10 grid (two scenes, all four methods, bounces ≤ 2).
+/// The union of a reduced fig2 grid (conference, bounces ≤ 3), a reduced
+/// fig10 grid (two scenes, all four methods, bounces ≤ 2) and a reduced
+/// fig8 grid (conference, its six DRS configurations, bounces ≤ 2; its
+/// Aila cells are fig2's).
 fn reduced_grids(scale: &Scale) -> Vec<drs_harness::SimJob> {
     let mut fig2 = figures::fig2(scale);
     fig2.jobs.retain(|j| j.bounce <= 3);
@@ -22,9 +26,14 @@ fn reduced_grids(scale: &Scale) -> Vec<drs_harness::SimJob> {
     fig10.jobs.retain(|j| {
         j.bounce <= 2 && matches!(j.workload.scene, SceneKind::Conference | SceneKind::FairyForest)
     });
+    let mut fig8 = figures::fig8(scale);
+    fig8.jobs.retain(|j| {
+        j.bounce <= 2 && j.workload.scene == SceneKind::Conference && j.method != Method::Aila
+    });
     let mut jobs = fig2.jobs;
     jobs.extend(fig10.jobs);
-    assert_eq!(jobs.len(), 3 + 2 * 4 * 2);
+    jobs.extend(fig8.jobs);
+    assert_eq!(jobs.len(), 3 + 2 * 4 * 2 + 6 * 2);
     jobs
 }
 
@@ -43,7 +52,7 @@ fn fastpath_onoff_stats_bit_identical_across_methods() {
     for (f, n) in fast.cells.iter().zip(naive.cells.iter()) {
         assert_eq!(f.job.id(), n.job.id());
         assert_eq!(f.empty, n.empty);
-        assert_eq!(f.completed, n.completed);
+        assert!(f.completed && n.completed, "{} did not complete", f.cell_name());
         assert_eq!(
             f.stats,
             n.stats,
