@@ -73,10 +73,11 @@ Options:
   --job-cycles N   per-cell simulated-cycle budget; exceeding it records a
                    typed 'cycle_limit' failure instead of running to the
                    global safety cap
-  --resume         reuse clean cells from this grid's checkpoint file
-                   (<out stem>_checkpoint.json) and re-simulate only the
-                   missing or failed ones; merged results are bit-identical
-                   to an uninterrupted run
+  --resume         reuse the clean cells an earlier run left in its
+                   run-scoped store (<out stem>_checkpoint/) and simulate
+                   only the rest; cells are matched by content id, so an
+                   overlapping grid or a --no-fastpath flip reuses them too;
+                   merged results are bit-identical to an uninterrupted run
   --chip           full-chip mode: run every cell as --sms per-SM engines
                    against one shared L2/MSHR/DRAM memory system instead
                    of a single SMX scaled by the SMX count
@@ -148,7 +149,7 @@ pub struct Cli {
     pub job_timeout_secs: Option<u64>,
     /// Per-cell simulated-cycle budget.
     pub job_cycles: Option<u64>,
-    /// Resume from this grid's checkpoint file.
+    /// Reuse the clean cells in the run-scoped store.
     pub resume: bool,
     /// Full-chip mode: N per-SM engines sharing one memory system.
     pub chip: bool,
@@ -224,11 +225,11 @@ impl Cli {
         self.out.with_file_name(format!("{stem}_timeline.json"))
     }
 
-    /// Where the crash-safe checkpoint lives: `<out stem>_checkpoint.json`
-    /// next to the results file.
+    /// Where the run-scoped result store behind `--resume` lives: the
+    /// directory `<out stem>_checkpoint/` next to the results file.
     pub fn checkpoint_path(&self) -> PathBuf {
         let stem = self.out.file_stem().and_then(|s| s.to_str()).unwrap_or("experiments");
-        self.out.with_file_name(format!("{stem}_checkpoint.json"))
+        self.out.with_file_name(format!("{stem}_checkpoint"))
     }
 
     /// Where the run-volatile sidecar goes: `<out stem>_run.json` next to
@@ -529,13 +530,10 @@ mod tests {
     #[test]
     fn checkpoint_path_sits_next_to_out() {
         let cli = p(&["--out", "results/BENCH_experiments.json"]).unwrap();
-        assert_eq!(
-            cli.checkpoint_path(),
-            PathBuf::from("results/BENCH_experiments_checkpoint.json")
-        );
+        assert_eq!(cli.checkpoint_path(), PathBuf::from("results/BENCH_experiments_checkpoint"));
         assert_eq!(
             p(&[]).unwrap().checkpoint_path(),
-            PathBuf::from("BENCH_experiments_checkpoint.json")
+            PathBuf::from("BENCH_experiments_checkpoint")
         );
     }
 

@@ -22,18 +22,18 @@
 //!   (`BENCH_experiments.json`) — Mrays/s, SIMD efficiency, the complete
 //!   simulator counter set, wall-clock — giving the repo a machine-
 //!   readable perf trajectory across PRs.
-//! - **Fault tolerance** ([`fault`], [`checkpoint`]): worker panics and
-//!   typed simulator failures are isolated per cell (`catch_unwind`),
-//!   retried with backoff when transient, and recorded as structured
-//!   [`CellFailure`] data in the results JSON; a crash-safe checkpoint
-//!   file lets an interrupted grid resume with bit-identical merged
-//!   results. A deterministic [`FaultPlan`] makes every defended failure
-//!   mode reproducible on demand.
+//! - **Fault tolerance** ([`fault`]): worker panics and typed simulator
+//!   failures are isolated per cell (`catch_unwind`), retried with
+//!   backoff when transient, and recorded as structured [`CellFailure`]
+//!   data in the results JSON. A deterministic [`FaultPlan`] makes every
+//!   defended failure mode reproducible on demand.
 //! - **Durable results** ([`store`]): finished clean cells are memoized
 //!   on disk keyed by [`JobId`] + [`SCHEMA_VERSION`], checksummed and
 //!   written atomically; a warm rerun of a completed grid does zero
 //!   simulation work and emits byte-identical results JSON. Corrupt or
-//!   stale entries are quarantined and recomputed, never served.
+//!   stale entries are quarantined and recomputed, never served. The
+//!   same store, scoped to one run ([`CheckpointSpec`]), lets an
+//!   interrupted grid resume with bit-identical merged results.
 //! - **Experiment service** ([`server`]): `experiments serve` exposes
 //!   the pool on a Unix-domain socket with a line-delimited JSON
 //!   protocol — clients submit figure grids, stream per-cell progress,
@@ -65,19 +65,20 @@
 
 #![warn(missing_docs)]
 
-/// Version of every persisted harness artifact schema: the checkpoint
-/// file, the durable result store, and the results / stats / timeline
+/// Version of every persisted harness artifact schema: the durable result
+/// store (which also backs `--resume`) and the results / stats / timeline
 /// JSON documents all carry this one constant. Bumping it invalidates
-/// all three coherently — a resume, a store lookup, and a results diff
-/// can never mix layouts from different schema generations.
+/// both coherently — a resume, a store lookup, and a results diff can
+/// never mix layouts from different schema generations.
 ///
-/// History: v1–v3 were checkpoint-only (v2 added the per-cell `chip`
-/// summary, v3 `l2_evictions`/`dram_busy_q`); v4 unified the checkpoint,
-/// store, and results versions into this shared constant.
+/// History: v1–v3 versioned a separate whole-run checkpoint file (v2
+/// added the per-cell `chip` summary, v3 `l2_evictions`/`dram_busy_q`);
+/// v4 unified the checkpoint, store, and results versions into this
+/// shared constant. The checkpoint file has since been replaced by a
+/// run-scoped result store with the same v4 cell layout.
 pub const SCHEMA_VERSION: u32 = 4;
 
 pub mod cache;
-pub mod checkpoint;
 pub mod fault;
 pub mod figures;
 pub mod job;
@@ -88,16 +89,16 @@ pub mod server;
 pub mod store;
 
 pub use cache::{CacheCounters, CacheStoreError, StreamCache};
-pub use checkpoint::{Checkpoint, CheckpointCell, CheckpointSpec};
 pub use drs_sim::ChipConfig;
 pub use fault::{FaultKind, FaultPlan, FaultSpecError};
 pub use job::{fnv1a64, JobId, JobSet, Method, Scale, SimJob, WorkloadSpec};
 pub use pool::{
-    parallel_map, parallel_map_catching, run_jobs, CaptureMode, CaughtPanic, RunOptions, RunReport,
+    parallel_map, parallel_map_catching, run_jobs, CaptureMode, CaughtPanic, CheckpointSpec,
+    RunOptions, RunReport,
 };
 pub use results::{write_text, CellFailure, CellResult, ChipSummary, ResultsFile};
 pub use runner::{
     run_cell, run_chip_cell, run_method_with_warps, run_method_with_warps_telemetry, CellConfig,
 };
 pub use server::{Server, ServerControl, ServerOptions};
-pub use store::{ResultStore, StoreCounters, StoreError};
+pub use store::{ResultStore, StoreCounters, StoreError, StoredCell};

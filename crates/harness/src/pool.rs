@@ -21,29 +21,31 @@
 //! injected faults) are retried with exponential backoff, while
 //! *permanent* ones (an organic watchdog trip, cycle-cap, deadline, or
 //! invariant failure — deterministic, so a retry would fail identically)
-//! are recorded immediately. With a [`CheckpointSpec`] attached, every
-//! finished cell is persisted through an atomic file rewrite, and a
-//! resumed rerun reuses clean cells byte-for-byte while re-simulating
-//! only the missing or failed ones.
+//! are recorded immediately.
 //!
-//! With a [`ResultStore`] attached, durability extends *across* runs:
-//! every clean cell is memoized on disk by job id, consulted before
-//! capture and simulation, and replayed byte-for-byte on a warm rerun —
-//! a completed grid re-executes with zero engine invocations and zero
-//! captures, and emits identical results JSON.
+//! Persistence is one mechanism, the [`ResultStore`], at two scopes. With
+//! a [`CheckpointSpec`] attached, every clean cell lands in a run-scoped
+//! store directory; a resumed rerun reuses those cells byte-for-byte,
+//! re-simulates only the missing or failed ones, and the directory is
+//! removed once the run comes out clean. With [`RunOptions::store`]
+//! attached, durability extends *across* runs: every clean cell is
+//! memoized on disk by job id, consulted before capture and simulation,
+//! and replayed byte-for-byte on a warm rerun — a completed grid
+//! re-executes with zero engine invocations and zero captures, and emits
+//! identical results JSON.
 
 use crate::cache::{CacheCounters, StreamCache};
-use crate::checkpoint::{run_key, Checkpoint, CheckpointCell, CheckpointSpec};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::job::{JobId, SimJob};
+use crate::job::SimJob;
 use crate::results::{CellFailure, CellResult, ChipSummary};
 use crate::runner::CellConfig;
-use crate::store::{ResultStore, StoreCounters};
+use crate::store::{ResultStore, StoreCounters, StoredCell};
 use drs_sim::{ChipConfig, SimError, SimErrorKind, SimStats};
 use drs_telemetry::{ChipTelemetryReport, TelemetryConfig, TelemetryReport};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Once, PoisonError};
 use std::time::{Duration, Instant};
@@ -62,6 +64,15 @@ pub enum CaptureMode {
     Uncached,
     /// Serve from / populate an on-disk [`StreamCache`].
     Cached(StreamCache),
+}
+
+/// The run-scoped result store behind `--resume`.
+#[derive(Debug, Clone)]
+pub struct CheckpointSpec {
+    /// Store directory (conventionally `<out stem>_checkpoint/`).
+    pub path: PathBuf,
+    /// Reuse the clean cells already in it (`--resume`).
+    pub resume: bool,
 }
 
 /// Execution options for [`run_jobs`].
@@ -104,10 +115,10 @@ pub struct RunOptions {
     pub chip_threads: usize,
     /// Deterministic fault injection (empty plan = no faults).
     pub faults: FaultPlan,
-    /// Crash-safe checkpointing: persist every finished cell and
-    /// optionally resume from a previous run's checkpoint. Ignored (with
-    /// a warning) when telemetry is enabled — reports are not
-    /// checkpointable.
+    /// Run-scoped result store: every clean cell is persisted to it, a
+    /// resumed run reuses what it holds, and a fully clean run removes
+    /// it. Ignored (with a warning) when telemetry is enabled, like
+    /// [`RunOptions::store`].
     pub checkpoint: Option<CheckpointSpec>,
     /// Durable result store: clean cells are served from disk before any
     /// capture or simulation happens and persisted after they finish.
@@ -153,9 +164,10 @@ pub struct RunReport {
     pub cells: Vec<CellResult>,
     /// Capture-cache activity (all zeros when uncached).
     pub cache: CacheCounters,
-    /// Cells reused from a checkpoint instead of being re-simulated.
+    /// Cells reused from the run-scoped store instead of being
+    /// re-simulated.
     pub resumed: usize,
-    /// Successful checkpoint-file writes during the run (0 without a
+    /// Entries written to the run-scoped store (0 without a
     /// [`CheckpointSpec`]).
     pub checkpoint_writes: u64,
     /// Result-store activity (all zeros without a store). `hits` counts
@@ -283,27 +295,56 @@ where
     parallel_map(items, workers, |i, t| catch_quietly(|| f(i, t)))
 }
 
-/// Shared checkpoint state: the accumulating snapshot plus its path.
-struct CheckpointState {
-    path: std::path::PathBuf,
-    snapshot: Mutex<Checkpoint>,
-    writes: AtomicUsize,
+/// Look `job` up in `store`. A planned [`FaultKind::StoreCorrupt`]
+/// damages the entry first, proving the quarantine-and-recompute path end
+/// to end. Shared with the server, as are [`persist_cell`] and
+/// [`capture_failure`].
+pub(crate) fn lookup_cell(
+    store: &ResultStore,
+    faults: &FaultPlan,
+    index: usize,
+    job: &SimJob,
+) -> Option<CellResult> {
+    let id = job.id();
+    if faults.fault_for(index, id, 1) == Some(FaultKind::StoreCorrupt) && store.scramble(id) {
+        eprintln!("drs-harness: injected store corruption for job {id}");
+    }
+    store.lookup(id).map(|cell| cell.to_cell(*job))
 }
 
-impl CheckpointState {
-    /// Record a finished cell and atomically rewrite the file. Write
-    /// failures cost resumability, never the run.
-    fn record(&self, cell: &CellResult) {
-        let mut snap = self.snapshot.lock().unwrap_or_else(PoisonError::into_inner);
-        snap.cells.insert(cell.job.id(), CheckpointCell::from_cell(cell));
-        match snap.write_to(&self.path) {
-            Ok(()) => {
-                self.writes.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => {
-                eprintln!("drs-harness: checkpoint write failed ({}): {e}", self.path.display());
-            }
-        }
+/// Persist `cell` to `store` if it is clean. A failed write costs
+/// durability, never the result.
+pub(crate) fn persist_cell(store: &ResultStore, cell: &CellResult) {
+    let Some(stored) = StoredCell::from_cell(cell) else { return };
+    let id = cell.job.id();
+    if let Err(e) = store.store(id, &stored) {
+        eprintln!(
+            "drs-harness: store write failed for job {id} ({e}); \
+             the result is complete in memory, only durability was lost"
+        );
+    }
+}
+
+/// The failed cell of a job whose workload capture failed.
+pub(crate) fn capture_failure(job: &SimJob, message: &str) -> CellResult {
+    CellResult {
+        job: *job,
+        empty: false,
+        completed: false,
+        stats: SimStats::default(),
+        telemetry: None,
+        sm_telemetry: Vec::new(),
+        chip_telemetry: None,
+        chip: None,
+        failure: Some(CellFailure {
+            kind: "capture".to_string(),
+            message: format!("workload capture failed: {message}"),
+            cycle: None,
+            injected: false,
+            warp_dump: None,
+        }),
+        attempts: 1,
+        wall_ms: 0.0,
     }
 }
 
@@ -316,77 +357,45 @@ impl CheckpointState {
 pub fn run_jobs(jobs: &[SimJob], opts: &RunOptions) -> RunReport {
     let start = Instant::now();
 
-    // Checkpointing binds to this exact grid; telemetry reports are not
-    // checkpointable, so the two features are exclusive.
-    let checkpoint = match (&opts.checkpoint, &opts.telemetry) {
-        (Some(_), Some(_)) => {
-            eprintln!("drs-harness: checkpointing disabled for telemetry runs");
-            None
-        }
-        (spec, _) => spec.as_ref(),
-    };
-    let key = checkpoint.map(|_| run_key(jobs, opts.fastpath));
-    let resumed_cells: HashMap<JobId, CheckpointCell> = match (checkpoint, key) {
-        (Some(spec), Some(key)) if spec.resume => Checkpoint::load(&spec.path, key)
-            .map(|cp| cp.cells.into_iter().filter(|(_, c)| c.is_clean()).collect())
-            .unwrap_or_default(),
-        _ => HashMap::new(),
-    };
-
-    // The result store is likewise telemetry-exclusive: stored cells
-    // carry counters only, so serving one would silently drop the
-    // reports an instrumented run exists to collect.
-    let store = match (&opts.store, &opts.telemetry) {
-        (Some(_), Some(_)) => {
-            eprintln!("drs-harness: result store disabled for telemetry runs");
-            None
-        }
-        (s, _) => s.as_deref(),
-    };
-    // Durable lookup: any cell the store already has skips capture and
-    // simulation entirely. An injected StoreCorrupt fault damages the
-    // entry first, proving the quarantine-and-recompute path end-to-end.
-    let mut stored_cells: HashMap<JobId, CheckpointCell> = HashMap::new();
-    if let Some(store) = store {
-        for (i, job) in jobs.iter().enumerate() {
-            let id = job.id();
-            if resumed_cells.contains_key(&id) {
-                continue;
+    // Both stores are telemetry-exclusive: stored cells carry counters
+    // only, so serving one would silently drop the reports an
+    // instrumented run exists to collect.
+    let (checkpoint, store) = match &opts.telemetry {
+        Some(_) => {
+            if opts.checkpoint.is_some() {
+                eprintln!("drs-harness: checkpointing disabled for telemetry runs");
             }
-            if opts.faults.fault_for(i, id, 1) == Some(FaultKind::StoreCorrupt)
-                && store.scramble(id)
-            {
-                eprintln!("drs-harness: injected store corruption for job {id}");
+            if opts.store.is_some() {
+                eprintln!("drs-harness: result store disabled for telemetry runs");
             }
-            if let Some(cell) = store.lookup(id) {
-                stored_cells.insert(id, cell);
+            (None, None)
+        }
+        None => (opts.checkpoint.as_ref(), opts.store.as_deref()),
+    };
+    let run_store = checkpoint.map(|spec| ResultStore::new(&spec.path));
+    let resume = checkpoint.is_some_and(|spec| spec.resume);
+
+    // Serve what is already on disk before any capture or simulation
+    // happens: the run's own store first (on resume), then the shared one.
+    let prior: Vec<Option<(CellResult, &str)>> = jobs
+        .iter()
+        .enumerate()
+        .map(|(i, job)| {
+            match run_store.as_ref().filter(|_| resume).and_then(|s| s.lookup(job.id())) {
+                Some(cell) => Some((cell.to_cell(*job), "checkpoint")),
+                None => {
+                    store.and_then(|s| lookup_cell(s, &opts.faults, i, job)).map(|c| (c, "store"))
+                }
             }
-        }
-    }
+        })
+        .collect();
 
-    let checkpoint_state = checkpoint.zip(key).map(|(spec, key)| {
-        let mut snapshot = Checkpoint::new(key);
-        // Seed the snapshot with the resumed and store-served cells so a
-        // chain of resumes never loses earlier work.
-        for (id, cell) in resumed_cells.iter().chain(&stored_cells) {
-            snapshot.cells.insert(*id, cell.clone());
-        }
-        CheckpointState {
-            path: spec.path.clone(),
-            snapshot: Mutex::new(snapshot),
-            writes: AtomicUsize::new(0),
-        }
-    });
-
-    // Phase 1: capture the distinct workloads still needed (fully resumed
-    // or store-served jobs contribute nothing to the capture set).
+    // Phase 1: capture the distinct workloads still needed (served jobs
+    // contribute nothing to the capture set).
     let mut seen = std::collections::HashSet::new();
     let mut distinct = Vec::new();
-    for j in jobs {
-        if !resumed_cells.contains_key(&j.id())
-            && !stored_cells.contains_key(&j.id())
-            && seen.insert(j.workload.content_key())
-        {
+    for (j, served) in jobs.iter().zip(&prior) {
+        if served.is_none() && seen.insert(j.workload.content_key()) {
             distinct.push(j.workload);
         }
     }
@@ -402,61 +411,24 @@ pub fn run_jobs(jobs: &[SimJob], opts: &RunOptions) -> RunReport {
 
     // Phase 2: simulate every cell.
     let total = jobs.len();
-    let resumed_count = AtomicUsize::new(0);
     let cells = parallel_map(jobs, opts.workers, |i, job| {
         let label =
             format!("{} {} b{} w{}", job.workload.scene, job.method.label(), job.bounce, job.warps);
-        if let Some(prior) = resumed_cells.get(&job.id()) {
-            resumed_count.fetch_add(1, Ordering::Relaxed);
+        if let Some((cell, source)) = &prior[i] {
             if opts.progress {
-                eprintln!("[{}/{total}] resume {label} (from checkpoint)", i + 1);
+                eprintln!("[{}/{total}] reuse  {label} (from {source})", i + 1);
             }
-            return prior.to_cell(*job);
-        }
-        if let Some(prior) = stored_cells.get(&job.id()) {
-            if opts.progress {
-                eprintln!("[{}/{total}] reuse  {label} (from store)", i + 1);
-            }
-            return prior.to_cell(*job);
+            return cell.clone();
         }
         if opts.progress {
             eprintln!("[{}/{total}] start  {label}", i + 1);
         }
         let cell = match &streams_by_key[&job.workload.content_key()] {
             Ok(streams) => run_one_job(i, job, streams, opts),
-            Err(message) => CellResult {
-                job: *job,
-                empty: false,
-                completed: false,
-                stats: SimStats::default(),
-                telemetry: None,
-                sm_telemetry: Vec::new(),
-                chip_telemetry: None,
-                chip: None,
-                failure: Some(CellFailure {
-                    kind: "capture".to_string(),
-                    message: format!("workload capture failed: {message}"),
-                    cycle: None,
-                    injected: false,
-                    warp_dump: None,
-                }),
-                attempts: 1,
-                wall_ms: 0.0,
-            },
+            Err(message) => capture_failure(job, message),
         };
-        if let Some(state) = &checkpoint_state {
-            state.record(&cell);
-        }
-        if let Some(store) = store {
-            if cell.completed && cell.failure.is_none() {
-                if let Err(e) = store.store(job.id(), &CheckpointCell::from_cell(&cell)) {
-                    eprintln!(
-                        "drs-harness: store write failed for job {} ({e}); \
-                         the result is complete in memory, only durability was lost",
-                        job.id()
-                    );
-                }
-            }
+        for s in run_store.iter().chain(store) {
+            persist_cell(s, &cell);
         }
         if opts.progress {
             match &cell.failure {
@@ -472,11 +444,11 @@ pub fn run_jobs(jobs: &[SimJob], opts: &RunOptions) -> RunReport {
         cell
     });
 
-    // A fully clean run needs no resume: drop the checkpoint so the next
-    // run starts fresh instead of trusting a stale file.
-    if let Some(state) = &checkpoint_state {
+    // A fully clean run needs no resume: drop the run's store so the next
+    // run starts fresh.
+    if let Some(spec) = checkpoint {
         if cells.iter().all(|c| c.completed && c.failure.is_none()) {
-            let _ = std::fs::remove_file(&state.path);
+            let _ = std::fs::remove_dir_all(&spec.path);
         }
     }
 
@@ -484,13 +456,12 @@ pub fn run_jobs(jobs: &[SimJob], opts: &RunOptions) -> RunReport {
         CaptureMode::Uncached => CacheCounters::default(),
         CaptureMode::Cached(cache) => cache.counters(),
     };
+    let run_counters = run_store.as_ref().map(ResultStore::counters).unwrap_or_default();
     RunReport {
         cells,
         cache,
-        resumed: resumed_count.into_inner(),
-        checkpoint_writes: checkpoint_state
-            .as_ref()
-            .map_or(0, |s| s.writes.load(Ordering::Relaxed) as u64),
+        resumed: run_counters.hits as usize,
+        checkpoint_writes: run_counters.writes,
         store: store.map(ResultStore::counters).unwrap_or_default(),
         wall_ms: start.elapsed().as_secs_f64() * 1e3,
     }

@@ -21,7 +21,7 @@ use crate::job::SimJob;
 use crate::pool::RunReport;
 use crate::store::StoreCounters;
 use crate::SCHEMA_VERSION;
-use drs_sim::{GpuConfig, JsonBuf, SimStats, CHIP_TIME_Q};
+use drs_sim::{GpuConfig, JsonBuf, SimStats};
 use drs_telemetry::{ChipTelemetryReport, TelemetryReport};
 use std::io::Write;
 use std::path::Path;
@@ -103,18 +103,6 @@ pub struct ChipSummary {
 }
 
 impl ChipSummary {
-    /// Shared-L2 hit rate across all SMs.
-    pub fn l2_hit_rate(&self) -> f64 {
-        self.l2_hits as f64 / (self.l2_hits + self.l2_misses).max(1) as f64
-    }
-
-    /// DRAM-channel utilization over `cycles` chip cycles (0.0–1.0+; a
-    /// value above 1 means the channel owed busy time past the last
-    /// request's issue — the queue never drained).
-    pub fn dram_utilization(&self, cycles: u64) -> f64 {
-        self.dram_busy_q as f64 / (cycles.max(1) * CHIP_TIME_Q) as f64
-    }
-
     /// Append this summary as a JSON object.
     pub fn write_json(&self, j: &mut JsonBuf) {
         j.begin_obj();
@@ -272,9 +260,10 @@ pub struct ResultsFile {
     pub store: StoreCounters,
     /// Whole-run wall clock in milliseconds.
     pub wall_ms: f64,
-    /// Cells reused from a checkpoint instead of being re-simulated.
+    /// Cells reused from the run's resume store instead of being
+    /// re-simulated.
     pub resumed: usize,
-    /// Successful checkpoint-file writes during the run.
+    /// Entries written to the run's resume store.
     pub checkpoint_writes: u64,
     /// `(figures-that-use-it, cell)` in deterministic job order.
     pub cells: Vec<(Vec<String>, CellResult)>,
@@ -631,8 +620,6 @@ mod tests {
             (cell.mrays_per_sec(&gpu) - plain_mrays / gpu.smx_count as f64).abs() < 1e-12,
             "chip cells must not re-scale by smx_count"
         );
-        assert!((cell.chip.as_ref().unwrap().l2_hit_rate() - 0.75).abs() < 1e-12);
-        assert!((cell.chip.as_ref().unwrap().dram_utilization(10) - 0.5).abs() < 1e-12);
         let mut file = file_with("fig2", 1, 1.0, CacheCounters::default());
         file.cells = vec![(vec!["fig2".into()], cell)];
         for json in [file.to_json(), file.stats_json()] {

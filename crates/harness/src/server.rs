@@ -50,21 +50,22 @@
 #![cfg(unix)]
 
 use crate::cache::StreamCache;
-use crate::checkpoint::CheckpointCell;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::figures;
 use crate::job::{Scale, SimJob};
-use crate::pool::{catch_quietly, run_one_job, CaptureMode, RunOptions};
-use crate::results::{CellFailure, CellResult, ResultsFile};
+use crate::pool::{
+    capture_failure, catch_quietly, lookup_cell, persist_cell, run_one_job, CaptureMode, RunOptions,
+};
+use crate::results::{CellResult, ResultsFile};
 use crate::store::ResultStore;
-use drs_sim::{GpuConfig, JsonBuf, SimStats};
+use drs_sim::{GpuConfig, JsonBuf};
 use drs_telemetry::check::{self, Value};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Protocol version announced in the `hello` event.
@@ -180,11 +181,22 @@ struct ClientHandle {
 }
 
 impl ClientHandle {
-    /// Write one protocol line. On any error (including a write
-    /// timeout) the client is dropped: the stream slot is cleared, so
-    /// later events become no-ops instead of repeated stalls.
+    /// The write half, locked: lines written through one guard reach the
+    /// client in order, with no other sender's line between them.
+    fn lock(&self) -> MutexGuard<'_, Option<UnixStream>> {
+        self.stream.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Write one protocol line.
     fn send(&self, line: &str) {
-        let mut slot = self.stream.lock().unwrap_or_else(PoisonError::into_inner);
+        self.send_locked(&mut self.lock(), line);
+    }
+
+    /// Write one protocol line through a held [`ClientHandle::lock`]
+    /// guard. On any error (including a write timeout) the client is
+    /// dropped: the stream slot is cleared, so later events become no-ops
+    /// instead of repeated stalls.
+    fn send_locked(&self, slot: &mut Option<UnixStream>, line: &str) {
         if let Some(stream) = slot.as_mut() {
             let ok =
                 stream.write_all(line.as_bytes()).and_then(|()| stream.write_all(b"\n")).is_ok();
@@ -198,10 +210,14 @@ impl ClientHandle {
 
     /// Force-close the connection (client-disconnect fault injection).
     fn kill(&self) {
-        let mut slot = self.stream.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(stream) = slot.take() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
+        kill_locked(&mut self.lock());
+    }
+}
+
+/// Force-close a connection through a held [`ClientHandle::lock`] guard.
+fn kill_locked(slot: &mut Option<UnixStream>) {
+    if let Some(stream) = slot.take() {
+        let _ = stream.shutdown(std::net::Shutdown::Both);
     }
 }
 
@@ -430,14 +446,8 @@ fn worker_loop(inner: &Inner) {
 /// Run one cell: store lookup first (with injected corruption applied),
 /// then capture + simulate, then persist.
 fn execute_cell(inner: &Inner, index: usize, job: &SimJob) -> (CellResult, &'static str) {
-    let id = job.id();
-    if inner.run_opts.faults.fault_for(index, id, 1) == Some(FaultKind::StoreCorrupt)
-        && inner.store.scramble(id)
-    {
-        eprintln!("drs-serve: injected store corruption for job {id}");
-    }
-    if let Some(prior) = inner.store.lookup(id) {
-        return (prior.to_cell(*job), "store");
+    if let Some(cell) = lookup_cell(&inner.store, &inner.run_opts.faults, index, job) {
+        return (cell, "store");
     }
     let streams = {
         let memo = inner.streams.lock().unwrap_or_else(PoisonError::into_inner);
@@ -461,34 +471,9 @@ fn execute_cell(inner: &Inner, index: usize, job: &SimJob) -> (CellResult, &'sta
     };
     let cell = match streams {
         Ok(streams) => run_one_job(index, job, &streams, &inner.run_opts),
-        Err(panic) => CellResult {
-            job: *job,
-            empty: false,
-            completed: false,
-            stats: SimStats::default(),
-            telemetry: None,
-            sm_telemetry: Vec::new(),
-            chip_telemetry: None,
-            chip: None,
-            failure: Some(CellFailure {
-                kind: "capture".to_string(),
-                message: format!("workload capture failed: {}", panic.message),
-                cycle: None,
-                injected: false,
-                warp_dump: None,
-            }),
-            attempts: 1,
-            wall_ms: 0.0,
-        },
+        Err(panic) => capture_failure(job, &panic.message),
     };
-    if cell.completed && cell.failure.is_none() {
-        if let Err(e) = inner.store.store(id, &CheckpointCell::from_cell(&cell)) {
-            eprintln!(
-                "drs-serve: store write failed for job {id} ({e}); \
-                 the result is served from memory, durability was lost"
-            );
-        }
-    }
+    persist_cell(&inner.store, &cell);
     (cell, "sim")
 }
 
@@ -504,56 +489,58 @@ fn finish_cell(
 ) {
     let disconnect = inner.run_opts.faults.fault_for(index, cell.job.id(), 1)
         == Some(FaultKind::ClientDisconnect);
+    let client = {
+        let clients = inner.clients.lock().unwrap_or_else(PoisonError::into_inner);
+        clients.get(&client_id).cloned()
+    };
     let mut j = JsonBuf::new();
     j.begin_obj();
     j.kv_str("event", "cell");
     j.kv_u64("ticket", ticket_id);
     j.kv_u64("index", index as u64);
-    let (done, total, failed, ticket_done) = {
-        let mut sched = inner.sched.lock().unwrap_or_else(PoisonError::into_inner);
-        let Some(ticket) = sched.tickets.get_mut(&ticket_id) else { return };
-        ticket.done += 1;
-        if cell.failure.is_some() {
-            ticket.failed += 1;
-        }
-        let summary =
-            (ticket.done, ticket.jobs.len(), ticket.failed, ticket.done == ticket.jobs.len());
-        j.kv_str("cell", &cell.cell_name());
-        j.kv_str("source", source);
-        j.kv_bool("ok", cell.failure.is_none());
-        j.kv_u64("done", ticket.done as u64);
-        j.kv_u64("total", ticket.jobs.len() as u64);
-        j.kv_u64("cycles", cell.stats.cycles);
-        j.kv_u64("rays", cell.stats.rays_completed);
-        j.kv_f64("mrays", cell.mrays_per_sec(&GpuConfig::gtx780()));
-        j.kv_f64("simd_efficiency", cell.stats.simd_efficiency());
-        ticket.results[index] = Some(cell);
-        summary
-    };
+    let mut sched = inner.sched.lock().unwrap_or_else(PoisonError::into_inner);
+    let Some(ticket) = sched.tickets.get_mut(&ticket_id) else { return };
+    ticket.done += 1;
+    if cell.failure.is_some() {
+        ticket.failed += 1;
+    }
+    let (done, total, failed) = (ticket.done, ticket.jobs.len(), ticket.failed);
+    j.kv_str("cell", &cell.cell_name());
+    j.kv_str("source", source);
+    j.kv_bool("ok", cell.failure.is_none());
+    j.kv_u64("done", done as u64);
+    j.kv_u64("total", total as u64);
+    j.kv_u64("cycles", cell.stats.cycles);
+    j.kv_u64("rays", cell.stats.rays_completed);
+    j.kv_f64("mrays", cell.mrays_per_sec(&GpuConfig::gtx780()));
+    j.kv_f64("simd_efficiency", cell.stats.simd_efficiency());
     j.end_obj();
+    ticket.results[index] = Some(cell);
+    // Take the client's write lock before releasing `sched` (the order
+    // `submit_op` nests them in): every `cell` event is then written in
+    // the order its `done` count was taken, so the worker finishing a
+    // ticket's last cell cannot send `done` ahead of a slower worker's
+    // earlier `cell` event.
+    let mut slot = client.as_ref().map(|c| c.lock());
+    drop(sched);
     if inner.opts.progress {
         eprintln!("drs-serve: ticket {ticket_id} cell {index} done ({done}/{total}, {source})");
     }
-    let client = {
-        let clients = inner.clients.lock().unwrap_or_else(PoisonError::into_inner);
-        clients.get(&client_id).cloned()
-    };
-    if let Some(client) = client {
-        if disconnect {
-            eprintln!("drs-serve: injected disconnect of client {client_id}");
-            client.kill();
-        }
-        client.send(&j.finish());
-        if ticket_done {
-            let mut d = JsonBuf::new();
-            d.begin_obj();
-            d.kv_str("event", "done");
-            d.kv_u64("ticket", ticket_id);
-            d.kv_u64("completed", (total - failed) as u64);
-            d.kv_u64("failed", failed as u64);
-            d.end_obj();
-            client.send(&d.finish());
-        }
+    let (Some(client), Some(slot)) = (&client, slot.as_mut()) else { return };
+    if disconnect {
+        eprintln!("drs-serve: injected disconnect of client {client_id}");
+        kill_locked(slot);
+    }
+    client.send_locked(slot, &j.finish());
+    if done == total {
+        let mut d = JsonBuf::new();
+        d.begin_obj();
+        d.kv_str("event", "done");
+        d.kv_u64("ticket", ticket_id);
+        d.kv_u64("completed", (total - failed) as u64);
+        d.kv_u64("failed", failed as u64);
+        d.end_obj();
+        client.send_locked(slot, &d.finish());
     }
 }
 

@@ -1,13 +1,13 @@
 //! Golden fault-tolerance tests: injected failures are isolated and
 //! recorded, surviving cells stay bit-identical to a clean run, transient
-//! faults recover through retries, and a checkpointed grid resumes to a
-//! bit-identical merged result.
+//! faults recover through retries, and a grid resumed from its run-scoped
+//! store merges to a bit-identical result.
 
 use drs_harness::{
-    figures, run_jobs, CheckpointSpec, ChipConfig, FaultPlan, ResultsFile, RunOptions, Scale,
-    SimJob,
+    figures, run_jobs, CellResult, CheckpointSpec, ChipConfig, FaultPlan, ResultStore, ResultsFile,
+    RunOptions, Scale, SimJob,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 static SEQ: AtomicU32 = AtomicU32::new(0);
@@ -22,7 +22,7 @@ fn tiny_fig2_jobs() -> Vec<SimJob> {
 
 fn temp_checkpoint() -> PathBuf {
     std::env::temp_dir().join(format!(
-        "drs-faults-test-{}-{}.json",
+        "drs-faults-test-{}-{}",
         std::process::id(),
         SEQ.fetch_add(1, Ordering::Relaxed)
     ))
@@ -30,6 +30,45 @@ fn temp_checkpoint() -> PathBuf {
 
 fn opts() -> RunOptions {
     RunOptions { retry_backoff_ms: 0, ..RunOptions::serial() }
+}
+
+/// `opts()` with the run-scoped store at `path` attached.
+fn checkpointed(path: &Path, resume: bool, faults: &str) -> RunOptions {
+    RunOptions {
+        faults: FaultPlan::parse(faults).unwrap(),
+        checkpoint: Some(CheckpointSpec { path: path.to_path_buf(), resume }),
+        ..opts()
+    }
+}
+
+/// Files directly inside `dir` (0 when it does not exist).
+fn files_in(dir: &Path) -> usize {
+    std::fs::read_dir(dir).map_or(0, |d| d.filter(|e| e.as_ref().unwrap().path().is_file()).count())
+}
+
+/// Fail job 2, then resume: the three clean cells come back from the
+/// run's store and the merge is byte-identical to an uninterrupted run.
+fn assert_resume_heals(jobs: &[SimJob]) -> Vec<CellResult> {
+    let clean_dump = stats_dump("fig2", run_jobs(jobs, &opts()));
+    let path = temp_checkpoint();
+    let first = run_jobs(jobs, &checkpointed(&path, false, "watchdog@2"));
+    assert_eq!(first.failed_cells().count(), 1);
+    assert_eq!(first.checkpoint_writes, 3, "one entry per clean cell");
+    assert_eq!(files_in(&path), 3, "a run with failures must leave its store behind");
+
+    // Second pass: resume without faults. Only the failed cell re-runs.
+    let second = run_jobs(jobs, &checkpointed(&path, true, ""));
+    assert_eq!(second.resumed, 3, "the three clean cells come from the run's store");
+    assert_eq!(second.checkpoint_writes, 1, "only the re-run cell is written");
+    assert!(second.all_clean());
+    assert!(!path.exists(), "a fully clean run removes its store");
+    let cells = second.cells.clone();
+    assert_eq!(
+        stats_dump("fig2", second),
+        clean_dump,
+        "resumed merge must be byte-identical to an uninterrupted run"
+    );
+    cells
 }
 
 fn stats_dump(mode: &str, report: drs_harness::RunReport) -> String {
@@ -112,39 +151,7 @@ fn exhausted_retries_keep_the_failure_of_the_final_attempt() {
 
 #[test]
 fn checkpointed_run_resumes_to_a_bit_identical_merge() {
-    let jobs = tiny_fig2_jobs();
-    let clean_dump = stats_dump("fig2", run_jobs(&jobs, &opts()));
-
-    // First pass: one permanently failing cell, checkpoint attached.
-    let path = temp_checkpoint();
-    let faults = FaultPlan::parse("watchdog@2").unwrap();
-    let first = run_jobs(
-        &jobs,
-        &RunOptions {
-            faults,
-            checkpoint: Some(CheckpointSpec { path: path.clone(), resume: false }),
-            ..opts()
-        },
-    );
-    assert_eq!(first.failed_cells().count(), 1);
-    assert!(path.exists(), "a run with failures must leave its checkpoint behind");
-
-    // Second pass: resume without faults. Only the failed cell re-runs.
-    let second = run_jobs(
-        &jobs,
-        &RunOptions {
-            checkpoint: Some(CheckpointSpec { path: path.clone(), resume: true }),
-            ..opts()
-        },
-    );
-    assert_eq!(second.resumed, 3, "the three clean cells come from the checkpoint");
-    assert!(second.all_clean());
-    assert_eq!(
-        stats_dump("fig2", second),
-        clean_dump,
-        "resumed merge must be byte-identical to an uninterrupted run"
-    );
-    assert!(!path.exists(), "a fully clean run removes its checkpoint");
+    assert_resume_heals(&tiny_fig2_jobs());
 }
 
 #[test]
@@ -169,86 +176,54 @@ fn chip_checkpoint_resumes_to_a_bit_identical_merge() {
     let chip = ChipConfig::gtx780(2);
     let jobs: Vec<SimJob> =
         tiny_fig2_jobs().into_iter().map(|j| SimJob { chip: Some(chip), ..j }).collect();
-    let clean_dump = stats_dump("fig2", run_jobs(&jobs, &opts()));
-
-    // First pass: one permanently failing chip cell, checkpoint attached.
-    let path = temp_checkpoint();
-    let faults = FaultPlan::parse("watchdog@2").unwrap();
-    let first = run_jobs(
-        &jobs,
-        &RunOptions {
-            faults,
-            checkpoint: Some(CheckpointSpec { path: path.clone(), resume: false }),
-            ..opts()
-        },
-    );
-    assert_eq!(first.failed_cells().count(), 1);
-    assert!(path.exists());
-
-    // Second pass: resume without faults. The chip summaries of the
-    // resumed cells must round-trip through the checkpoint file.
-    let second = run_jobs(
-        &jobs,
-        &RunOptions {
-            checkpoint: Some(CheckpointSpec { path: path.clone(), resume: true }),
-            ..opts()
-        },
-    );
-    assert_eq!(second.resumed, 3, "the three clean chip cells come from the checkpoint");
-    assert!(second.all_clean());
+    // The chip summaries of the resumed cells must round-trip through the
+    // store entries.
+    let resumed = assert_resume_heals(&jobs);
     assert!(
-        second.cells.iter().filter(|c| !c.empty).all(|c| c.chip.is_some()),
+        resumed.iter().filter(|c| !c.empty).all(|c| c.chip.is_some()),
         "resumed chip cells must keep their shared-memory summary"
     );
-    assert_eq!(
-        stats_dump("fig2", second),
-        clean_dump,
-        "resumed chip merge must be byte-identical to an uninterrupted run"
-    );
-    assert!(!path.exists(), "a fully clean run removes its checkpoint");
 }
 
 #[test]
-fn corrupt_or_mismatched_checkpoints_are_ignored_on_resume() {
+fn corrupt_resume_entry_is_quarantined_and_recomputed() {
     let jobs = tiny_fig2_jobs();
+    let clean = run_jobs(&jobs, &opts());
     let path = temp_checkpoint();
-    std::fs::write(&path, b"{ not json").unwrap();
-    let report = run_jobs(
-        &jobs,
-        &RunOptions {
-            checkpoint: Some(CheckpointSpec { path: path.clone(), resume: true }),
-            ..opts()
-        },
-    );
-    assert_eq!(report.resumed, 0, "garbage checkpoints must be ignored, not trusted");
-    assert!(report.all_clean());
-    assert!(!path.exists(), "the clean run replaces and then removes the checkpoint");
-}
-
-#[test]
-fn checkpoint_from_a_different_grid_is_rejected() {
-    let jobs = tiny_fig2_jobs();
-    let path = temp_checkpoint();
-    // Build a checkpoint for a *different* grid (one job fewer).
-    let first = run_jobs(
-        &jobs[..3],
-        &RunOptions {
-            faults: FaultPlan::parse("watchdog@0").unwrap(),
-            checkpoint: Some(CheckpointSpec { path: path.clone(), resume: false }),
-            ..opts()
-        },
-    );
+    let first = run_jobs(&jobs, &checkpointed(&path, false, "watchdog@2"));
     assert_eq!(first.failed_cells().count(), 1);
-    assert!(path.exists());
-    // Resuming the full grid must not trust it: the run key differs.
-    let report = run_jobs(
-        &jobs,
-        &RunOptions {
-            checkpoint: Some(CheckpointSpec { path: path.clone(), resume: true }),
-            ..opts()
-        },
-    );
-    assert_eq!(report.resumed, 0, "a checkpoint for another grid must be rejected");
+    assert!(ResultStore::new(&path).scramble(jobs[0].id()), "job 0 has an entry to damage");
+
+    // Resume with job 2 still failing, so the store outlives the run and
+    // the quarantined evidence can be inspected.
+    let second = run_jobs(&jobs, &checkpointed(&path, true, "watchdog@2"));
+    assert_eq!(second.resumed, 2, "the damaged entry is not served");
+    assert_eq!(second.cells[0].stats, clean.cells[0].stats, "job 0 is recomputed");
+    assert_eq!(second.checkpoint_writes, 1, "the recomputed cell is re-persisted");
+    assert_eq!(files_in(&path.join("quarantine")), 1, "the damaged entry is kept aside");
+    assert_eq!(files_in(&path), 3);
+
+    let third = run_jobs(&jobs, &checkpointed(&path, true, ""));
+    assert_eq!(third.resumed, 3);
+    assert!(third.all_clean());
+    assert!(!path.exists(), "a fully clean run removes its store");
+}
+
+#[test]
+fn resuming_a_superset_grid_reuses_exactly_the_shared_cells() {
+    let jobs = tiny_fig2_jobs();
+    let clean_dump = stats_dump("fig2", run_jobs(&jobs, &opts()));
+    let path = temp_checkpoint();
+    // An earlier run over a smaller grid (one job fewer), with job 0
+    // failing: jobs 1 and 2 are the clean cells it shares with the full
+    // grid.
+    let first = run_jobs(&jobs[..3], &checkpointed(&path, false, "watchdog@0"));
+    assert_eq!(first.failed_cells().count(), 1);
+    // Cells are content-addressed, so the full grid reuses both.
+    let report = run_jobs(&jobs, &checkpointed(&path, true, ""));
+    assert_eq!(report.resumed, 2, "exactly the shared clean cells are reused");
+    assert_eq!(report.checkpoint_writes, 2, "jobs 0 and 3 are simulated");
     assert!(report.all_clean());
-    let _ = std::fs::remove_file(&path);
+    assert!(!path.exists());
+    assert_eq!(stats_dump("fig2", report), clean_dump);
 }

@@ -17,6 +17,7 @@
 //!    the full results.
 
 use drs_harness::{FaultPlan, Scale, Server, ServerControl, ServerOptions};
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -58,6 +59,8 @@ fn spawn_server(
 struct Client {
     reader: BufReader<UnixStream>,
     writer: UnixStream,
+    /// Tickets whose `done` event has arrived.
+    done: HashSet<u64>,
 }
 
 impl Client {
@@ -76,7 +79,7 @@ impl Client {
         };
         stream.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
         let writer = stream.try_clone().unwrap();
-        let mut c = Client { reader: BufReader::new(stream), writer };
+        let mut c = Client { reader: BufReader::new(stream), writer, done: HashSet::new() };
         let hello = c.recv().expect("hello event");
         assert!(hello.contains("\"event\":\"hello\""), "unexpected greeting: {hello}");
         c
@@ -88,7 +91,8 @@ impl Client {
     }
 
     /// Next protocol line, or `None` when the server closed the stream.
-    /// Panics after 30 s of silence (a hung test beats a deadlocked CI).
+    /// Panics after 30 s of silence (a hung test beats a deadlocked CI),
+    /// and on a `cell` event arriving after its ticket's `done`.
     fn recv(&mut self) -> Option<String> {
         let deadline = Instant::now() + Duration::from_secs(30);
         let mut line = String::new();
@@ -96,7 +100,20 @@ impl Client {
             line.clear();
             match self.reader.read_line(&mut line) {
                 Ok(0) => return None,
-                Ok(_) => return Some(line.trim().to_string()),
+                Ok(_) => {
+                    let ev = line.trim().to_string();
+                    let ticket = field_u64(&ev, "ticket");
+                    if ev.contains("\"event\":\"done\"") {
+                        self.done.extend(ticket);
+                    }
+                    if ev.contains("\"event\":\"cell\"") {
+                        assert!(
+                            !ticket.is_some_and(|t| self.done.contains(&t)),
+                            "cell event after its ticket's done: {ev}"
+                        );
+                    }
+                    return Some(ev);
+                }
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::TimedOut =>
