@@ -27,9 +27,9 @@ use drs_bench::{cli, Aggregate};
 use drs_core::overhead::{dmk_spawn_memory_bytes, paper, tbc_warp_buffer_bytes, DrsOverhead};
 use drs_core::DrsConfig;
 use drs_harness::{
-    figures, run_jobs, CaptureMode, CellResult, CheckpointSpec, ChipConfig, FaultPlan, JobId,
-    Method, ResultStore, ResultsFile, RunOptions, Scale, Server, ServerOptions, SimJob,
-    StreamCache, WorkloadSpec,
+    figures, run_cell, run_jobs, CaptureMode, CellConfig, CellResult, CheckpointSpec, ChipConfig,
+    Client, ClientError, JobId, Method, ResultStore, ResultsFile, RunOptions, Scale, Server,
+    ServerOptions, SimJob, StreamCache, WorkloadSpec,
 };
 use drs_scene::SceneKind;
 use drs_sim::{ActiveHistogram, GpuConfig};
@@ -145,16 +145,6 @@ fn main() {
         trace: cli.trace_out.is_some(),
         ..drs_telemetry::TelemetryConfig::default()
     });
-    let faults = match &cli.inject {
-        Some(spec) => match FaultPlan::parse(spec) {
-            Ok(plan) => plan,
-            Err(e) => {
-                eprintln!("error: {e}\n\n{}", cli::USAGE);
-                std::process::exit(2);
-            }
-        },
-        None => FaultPlan::default(),
-    };
     let opts = RunOptions {
         workers: cli.workers,
         capture,
@@ -165,7 +155,7 @@ fn main() {
         job_cycle_budget: cli.job_cycles,
         job_timeout_ms: cli.job_timeout_secs.map(|s| s * 1000),
         chip_threads: cli.chip_threads,
-        faults,
+        faults: cli.inject.clone(),
         checkpoint: Some(CheckpointSpec { path: cli.checkpoint_path(), resume: cli.resume }),
         store,
         ..RunOptions::serial()
@@ -526,27 +516,15 @@ fn verify_mode(cli: &cli::Cli) {
 /// so a crash at any instant loses at most the in-flight cells and a
 /// restarted server resumes from the store with byte-identical results.
 fn serve_mode(cli: &cli::Cli, scale: &Scale) {
-    let faults = match &cli.inject {
-        Some(spec) => match FaultPlan::parse(spec) {
-            Ok(plan) => plan,
-            Err(e) => {
-                eprintln!("error: {e}\n\n{}", cli::USAGE);
-                std::process::exit(2);
-            }
-        },
-        None => FaultPlan::default(),
-    };
     let opts = ServerOptions {
-        socket: cli.socket.clone(),
         store_dir: cli.store_dir.clone().unwrap_or_else(ResultStore::default_dir),
-        cache_dir: StreamCache::default_dir(),
         cache_limit: cli.cache_limit,
         workers: cli.workers,
         queue_limit: cli.queue,
         scale: *scale,
         fastpath: cli.fastpath,
         retries: cli.retries,
-        faults,
+        faults: cli.inject.clone(),
         progress: true,
         ..ServerOptions::new(&cli.socket)
     };
@@ -558,162 +536,39 @@ fn serve_mode(cli: &cli::Cli, scale: &Scale) {
 
 /// `submit` mode: client for a running server. Submits `--figure`,
 /// streams per-cell progress to stderr, fetches the deterministic results
-/// document into `--out`. Exit 1 when any cell failed or the server shed
-/// the submission.
+/// document into `--out`. Exit 1 when any cell failed, the server refused
+/// the submission, or the connection was lost.
 fn submit_mode(cli: &cli::Cli) {
-    use drs_telemetry::check::{self, Value};
-    use std::io::{BufRead, BufReader, Write};
-    use std::os::unix::net::UnixStream;
-
     let Some(figure) = &cli.figure else {
         eprintln!("error: submit needs --figure (e.g. --figure fig2)\n\n{}", cli::USAGE);
         std::process::exit(2);
     };
-    // A server that was just spawned may not have bound its socket yet;
-    // retry briefly so `serve & submit` sequences are race-free, then
-    // fail loudly.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    let stream = loop {
-        match UnixStream::connect(&cli.socket) {
-            Ok(s) => break s,
-            Err(e) => {
-                let transient = matches!(
-                    e.kind(),
-                    std::io::ErrorKind::NotFound | std::io::ErrorKind::ConnectionRefused
-                );
-                if !transient || std::time::Instant::now() >= deadline {
-                    eprintln!(
-                        "error: could not connect to {}: {e}\n(start the server with \
-                         `experiments serve`)",
-                        cli.socket.display()
-                    );
-                    std::process::exit(1);
-                }
-                std::thread::sleep(std::time::Duration::from_millis(100));
-            }
-        }
+    let fail = |e: ClientError| -> ! {
+        eprintln!("error: {e}");
+        std::process::exit(1);
     };
-    let mut writer = stream.try_clone().unwrap_or_else(|e| {
-        eprintln!("error: could not clone socket: {e}");
+    let mut client = Client::connect(&cli.socket, None).unwrap_or_else(|e| {
+        let why = if let ClientError::Io(io) = &e { io.to_string() } else { e.to_string() };
+        eprintln!(
+            "error: could not connect to {}: {why}\n(start the server with `experiments serve`)",
+            cli.socket.display()
+        );
         std::process::exit(1);
     });
-    let mut reader = BufReader::new(stream);
-    let mut send = |line: String| {
-        writer.write_all(line.as_bytes()).and_then(|()| writer.write_all(b"\n")).unwrap_or_else(
-            |e| {
-                eprintln!("error: server connection lost: {e}");
-                std::process::exit(1);
-            },
-        );
-    };
-    let recv = |reader: &mut BufReader<UnixStream>| -> Value {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) => {
-                    eprintln!("error: server closed the connection");
-                    std::process::exit(1);
-                }
-                Ok(_) if line.trim().is_empty() => {}
-                Ok(_) => {
-                    return check::parse(line.trim()).unwrap_or_else(|e| {
-                        eprintln!("error: malformed server event: {e}");
-                        std::process::exit(1);
-                    });
-                }
-                Err(e) => {
-                    eprintln!("error: server connection lost: {e}");
-                    std::process::exit(1);
-                }
+    let submitted = client.submit(figure).unwrap_or_else(|e| fail(e));
+    let ticket = submitted.ticket;
+    eprintln!("[submitted {figure} as ticket {ticket} ({} cells)]", submitted.jobs);
+    let failed = client
+        .wait(ticket, |ev| {
+            if cli.progress {
+                let (done, total) = (ev.num("done").unwrap_or(0), ev.num("total").unwrap_or(0));
+                let name = ev.str("cell").unwrap_or("?");
+                eprintln!("[{done}/{total}] {name} ({})", ev.str("source").unwrap_or("?"));
             }
-        }
-    };
-    let event = |doc: &Value| doc.get("event").and_then(Value::as_str).unwrap_or("").to_string();
-
-    let hello = recv(&mut reader);
-    if event(&hello) != "hello" {
-        eprintln!("error: expected a hello event, got: {}", event(&hello));
-        std::process::exit(1);
-    }
-    send(format!("{{\"op\":\"submit\",\"figure\":\"{figure}\"}}"));
-    let accepted = recv(&mut reader);
-    let ticket = match event(&accepted).as_str() {
-        "accepted" => {
-            let ticket = accepted.get("ticket").and_then(Value::as_num).map_or(0, |n| n as u64);
-            let jobs = accepted.get("jobs").and_then(Value::as_num).unwrap_or(0.0);
-            eprintln!("[submitted {figure} as ticket {ticket} ({jobs} cells)]");
-            ticket
-        }
-        "busy" => {
-            eprintln!("error: server is at its admission limit (busy); retry later");
-            std::process::exit(1);
-        }
-        "draining" => {
-            eprintln!("error: server is draining and refused the submission");
-            std::process::exit(1);
-        }
-        other => {
-            let msg = accepted.get("message").and_then(Value::as_str).unwrap_or("");
-            eprintln!("error: submission failed ({other}): {msg}");
-            std::process::exit(1);
-        }
-    };
-    let failed: u64;
-    loop {
-        let ev = recv(&mut reader);
-        match event(&ev).as_str() {
-            "cell" => {
-                if cli.progress {
-                    let done = ev.get("done").and_then(Value::as_num).unwrap_or(0.0);
-                    let total = ev.get("total").and_then(Value::as_num).unwrap_or(0.0);
-                    let name = ev.get("cell").and_then(Value::as_str).unwrap_or("?");
-                    let source = ev.get("source").and_then(Value::as_str).unwrap_or("?");
-                    eprintln!("[{done}/{total}] {name} ({source})");
-                }
-            }
-            "done" => {
-                failed = ev.get("failed").and_then(Value::as_num).map_or(0, |n| n as u64);
-                break;
-            }
-            other => {
-                let msg = ev.get("message").and_then(Value::as_str).unwrap_or("");
-                eprintln!("error: unexpected server event '{other}': {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-    send(format!("{{\"op\":\"fetch\",\"ticket\":{ticket}}}"));
-    // The results event embeds the deterministic document verbatim; slice
-    // it out of the raw line (instead of re-serializing a parse) so the
-    // written file is byte-identical to what the server produced.
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => {
-                eprintln!("error: server closed the connection before the results");
-                std::process::exit(1);
-            }
-            Ok(_) if line.trim().is_empty() => {}
-            Ok(_) => break,
-            Err(e) => {
-                eprintln!("error: server connection lost: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    let line = line.trim();
-    let Some(doc_at) = line.find("\"doc\":") else {
-        eprintln!("error: expected a results event, got: {line}");
-        std::process::exit(1);
-    };
-    let doc = &line[doc_at + "\"doc\":".len()..line.len() - 1];
-    if check::parse(doc).is_err() {
-        eprintln!("error: server returned a malformed results document");
-        std::process::exit(1);
-    }
-    if let Err(e) = drs_harness::write_text(&cli.out, doc) {
+        })
+        .unwrap_or_else(|e| fail(e));
+    let doc = client.fetch(ticket).unwrap_or_else(|e| fail(e));
+    if let Err(e) = drs_harness::write_text(&cli.out, &doc) {
         eprintln!("error: could not write {}: {e}", cli.out.display());
         std::process::exit(1);
     }
@@ -1090,12 +945,9 @@ fn ablation(cells: &Cells) {
         let bvh = Bvh::build(scene.mesh(), &BuildParams { method, max_leaf_size: 4 });
         let streams = BounceStreams::capture_with_bvh(&scene, &bvh, scale.rays, 1, 7);
         let stats = streams.bounce(1).stats();
-        let sim = drs_harness::run_method_with_warps(
-            Method::Aila,
-            scale.warps(Method::Aila.paper_warps()),
-            &streams.bounce(1).scripts,
-        )
-        .unwrap_or_else(|e| {
+        let cell = CellConfig::new(Method::Aila, scale.warps(Method::Aila.paper_warps()));
+        let (sim, _) = run_cell(&cell, &streams.bounce(1).scripts, None);
+        let sim = sim.unwrap_or_else(|e| {
             eprintln!("error: BVH-ablation cell failed: {e}");
             std::process::exit(1);
         });

@@ -3,6 +3,7 @@
 //! Kept in the library (rather than the binary) so flag handling is unit
 //! tested without spawning processes.
 
+use drs_harness::FaultPlan;
 use std::path::PathBuf;
 
 /// Every mode the binary accepts, in `all`-run order. `report`, `verify`,
@@ -157,9 +158,8 @@ pub struct Cli {
     pub sms: usize,
     /// Worker threads inside each chip cell's window loop.
     pub chip_threads: usize,
-    /// Deterministic fault-injection spec (`--inject`), parsed downstream
-    /// by [`FaultPlan::parse`](drs_harness::FaultPlan::parse).
-    pub inject: Option<String>,
+    /// Deterministic fault injection (`--inject`; empty plan = no faults).
+    pub inject: FaultPlan,
     /// Memoize finished cells in the durable result store.
     pub store: bool,
     /// Result-store directory override (`--store-dir`).
@@ -198,7 +198,7 @@ impl Default for Cli {
             chip: false,
             sms: 15,
             chip_threads: 1,
-            inject: None,
+            inject: FaultPlan::default(),
             store: false,
             store_dir: None,
             cache_limit: None,
@@ -355,7 +355,9 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
                     .filter(|&n| n >= 1)
                     .ok_or(format!("--chip-threads expects a positive integer, got '{v}'"))?;
             }
-            "--inject" => cli.inject = Some(value("--inject")?),
+            "--inject" => {
+                cli.inject = FaultPlan::parse(&value("--inject")?).map_err(|e| e.to_string())?;
+            }
             "--store" => cli.store = true,
             "--store-dir" => cli.store_dir = Some(PathBuf::from(value("--store-dir")?)),
             "--cache-limit" => {
@@ -501,13 +503,13 @@ mod tests {
         assert_eq!(a.job_timeout_secs, Some(30));
         assert_eq!(a.job_cycles, Some(5000));
         assert!(a.resume);
-        assert_eq!(a.inject.as_deref(), Some("seed=7,panic@1"));
+        assert_eq!(a.inject, FaultPlan::parse("seed=7,panic@1").unwrap());
         let d = p(&[]).unwrap();
         assert_eq!(d.retries, 1);
         assert_eq!(d.job_timeout_secs, None);
         assert_eq!(d.job_cycles, None);
         assert!(!d.resume);
-        assert_eq!(d.inject, None);
+        assert_eq!(d.inject, FaultPlan::default());
         assert_eq!(p(&["--retries", "0"]).unwrap().retries, 0, "zero retries is valid");
     }
 
@@ -621,6 +623,7 @@ mod tests {
             (&["--job-timeout", "0"][..], "positive integer"),
             (&["--job-cycles", "x"][..], "positive integer"),
             (&["--inject"][..], "requires a value"),
+            (&["--inject", "panic@x"][..], "bad fault spec 'panic@x'"),
             (&["fig2", "fig8"][..], "extra argument"),
         ] {
             let err = p(args).unwrap_err();

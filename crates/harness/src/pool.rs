@@ -36,18 +36,18 @@
 
 use crate::cache::{CacheCounters, StreamCache};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::job::SimJob;
+use crate::job::{SimJob, WorkloadSpec};
 use crate::results::{CellFailure, CellResult, ChipSummary};
 use crate::runner::CellConfig;
 use crate::store::{ResultStore, StoreCounters, StoredCell};
 use drs_sim::{ChipConfig, SimError, SimErrorKind, SimStats};
-use drs_telemetry::{ChipTelemetryReport, TelemetryConfig, TelemetryReport};
+use drs_telemetry::TelemetryConfig;
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Once, PoisonError};
+use std::sync::{Arc, Mutex, Once, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Cycle at which an injected [`FaultKind::WatchdogTrip`] fires.
@@ -189,24 +189,15 @@ impl RunReport {
     }
 }
 
-/// The message a worker panic carried, extracted from the unwind payload
-/// (`&str` and `String` cover `panic!` and friends).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CaughtPanic {
-    /// The panic message, or a placeholder for non-string payloads.
-    pub message: String,
-}
-
-impl CaughtPanic {
-    fn from_payload(payload: &(dyn std::any::Any + Send)) -> CaughtPanic {
-        let message = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "panic with non-string payload".to_string()
-        };
-        CaughtPanic { message }
+/// The message a caught panic carried (`&str` and `String` payloads
+/// cover `panic!` and friends).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with non-string payload".to_string()
     }
 }
 
@@ -216,11 +207,11 @@ thread_local! {
 }
 
 /// Run `f` under `catch_unwind` with the default panic hook silenced for
-/// this thread: a caught panic becomes data (the [`CaughtPanic`] message),
+/// this thread: a caught panic becomes data (its message),
 /// so the hook's "thread panicked" + backtrace spam on stderr would only
 /// duplicate what lands in the failure record. Panics on other threads
 /// (and outside catching regions) keep the normal hook behavior.
-pub(crate) fn catch_quietly<R>(f: impl FnOnce() -> R) -> Result<R, CaughtPanic> {
+fn catch_quietly<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
         let prev = std::panic::take_hook();
@@ -233,15 +224,14 @@ pub(crate) fn catch_quietly<R>(f: impl FnOnce() -> R) -> Result<R, CaughtPanic> 
     let was = CATCHING.with(|c| c.replace(true));
     let out = catch_unwind(AssertUnwindSafe(f));
     CATCHING.with(|c| c.set(was));
-    out.map_err(|payload| CaughtPanic::from_payload(payload.as_ref()))
+    out.map_err(|payload| panic_message(payload.as_ref()))
 }
 
 /// Map `f` over `items` with `workers` threads, preserving order.
 ///
 /// Results land in per-index slots, so the output is independent of
 /// scheduling; a single worker degenerates to a plain serial loop on the
-/// calling thread. Worker panics propagate to the caller; use
-/// [`parallel_map_catching`] to record them as data instead.
+/// calling thread. Worker panics propagate to the caller.
 pub fn parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -278,73 +268,143 @@ where
         .collect()
 }
 
-/// Like [`parallel_map`], but each invocation of `f` runs under
-/// `catch_unwind`: a panicking item yields `Err(CaughtPanic)` in its slot
-/// while every other item completes normally — one poisoned job cannot
-/// take down the run.
-pub fn parallel_map_catching<T, R, F>(
-    items: &[T],
-    workers: usize,
-    f: F,
-) -> Vec<Result<R, CaughtPanic>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_map(items, workers, |i, t| catch_quietly(|| f(i, t)))
+/// A workload's captured streams, shared by every cell over it; the error
+/// side is the message of a capture that panicked.
+type Capture = Result<Arc<drs_trace::BounceStreams>, String>;
+
+/// The per-cell path shared by [`run_jobs`] and the experiment service:
+/// the result stores a run consults, a capture memo, and the sequence
+/// that turns one job into a finished, persisted [`CellResult`].
+pub(crate) struct Pool<'o> {
+    opts: &'o RunOptions,
+    /// The run-scoped store ([`RunOptions::checkpoint`]).
+    run_store: Option<ResultStore>,
+    /// Serve the run-scoped store's cells (`--resume`).
+    resume: bool,
+    /// The shared durable store ([`RunOptions::store`]).
+    store: Option<&'o ResultStore>,
+    /// One capture per workload content key, run once and kept for the
+    /// pool's lifetime; a capture that panicked stays failed.
+    captures: Mutex<HashMap<u64, Arc<OnceLock<Capture>>>>,
 }
 
-/// Look `job` up in `store`. A planned [`FaultKind::StoreCorrupt`]
-/// damages the entry first, proving the quarantine-and-recompute path end
-/// to end. Shared with the server, as are [`persist_cell`] and
-/// [`capture_failure`].
-pub(crate) fn lookup_cell(
-    store: &ResultStore,
-    faults: &FaultPlan,
-    index: usize,
-    job: &SimJob,
-) -> Option<CellResult> {
-    let id = job.id();
-    if faults.fault_for(index, id, 1) == Some(FaultKind::StoreCorrupt) && store.scramble(id) {
-        eprintln!("drs-harness: injected store corruption for job {id}");
+impl<'o> Pool<'o> {
+    pub(crate) fn new(opts: &'o RunOptions) -> Pool<'o> {
+        // Both stores are telemetry-exclusive: stored cells carry counters
+        // only, so serving one would silently drop the reports an
+        // instrumented run exists to collect.
+        let (checkpoint, store) = match &opts.telemetry {
+            Some(_) => {
+                if opts.checkpoint.is_some() {
+                    eprintln!("drs-harness: checkpointing disabled for telemetry runs");
+                }
+                if opts.store.is_some() {
+                    eprintln!("drs-harness: result store disabled for telemetry runs");
+                }
+                (None, None)
+            }
+            None => (opts.checkpoint.as_ref(), opts.store.as_deref()),
+        };
+        Pool {
+            opts,
+            run_store: checkpoint.map(|spec| ResultStore::new(&spec.path)),
+            resume: checkpoint.is_some_and(|spec| spec.resume),
+            store,
+            captures: Mutex::default(),
+        }
     }
-    store.lookup(id).map(|cell| cell.to_cell(*job))
-}
 
-/// Persist `cell` to `store` if it is clean. A failed write costs
-/// durability, never the result.
-pub(crate) fn persist_cell(store: &ResultStore, cell: &CellResult) {
-    let Some(stored) = StoredCell::from_cell(cell) else { return };
-    let id = cell.job.id();
-    if let Err(e) = store.store(id, &stored) {
-        eprintln!(
-            "drs-harness: store write failed for job {id} ({e}); \
-             the result is complete in memory, only durability was lost"
+    /// The stored cell for `job` and where it came from: the run-scoped
+    /// store on resume, then the shared store. A planned
+    /// [`FaultKind::StoreCorrupt`] damages the shared entry first, proving
+    /// the quarantine-and-recompute path end to end.
+    pub(crate) fn lookup(&self, index: usize, job: &SimJob) -> Option<(CellResult, &'static str)> {
+        let id = job.id();
+        let resumed = self.run_store.as_ref().filter(|_| self.resume).and_then(|s| s.lookup(id));
+        if let Some(cell) = resumed {
+            return Some((cell.to_cell(*job), "checkpoint"));
+        }
+        let store = self.store?;
+        if self.opts.faults.fault_for(index, id, 1) == Some(FaultKind::StoreCorrupt)
+            && store.scramble(id)
+        {
+            eprintln!("drs-harness: injected store corruption for job {id}");
+        }
+        store.lookup(id).map(|cell| (cell.to_cell(*job), "store"))
+    }
+
+    /// `spec`'s streams: a memo hit, or the capture (from the cache when
+    /// the run has one), run once however many cells ask for it at once.
+    fn capture(&self, spec: &WorkloadSpec) -> Capture {
+        let slot = Arc::clone(
+            self.captures
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .entry(spec.content_key())
+                .or_default(),
         );
+        slot.get_or_init(|| {
+            catch_quietly(|| match &self.opts.capture {
+                CaptureMode::Uncached => spec.capture(),
+                CaptureMode::Cached(cache) => cache.get_or_capture(spec),
+            })
+            .map(Arc::new)
+        })
+        .clone()
+    }
+
+    /// Simulate `job` over its workload's streams (or record the failed
+    /// capture) and persist the cell to every store the run has. A failed
+    /// write costs durability, never the result.
+    pub(crate) fn simulate(&self, index: usize, job: &SimJob) -> CellResult {
+        let cell = match self.capture(&job.workload) {
+            Ok(streams) => run_one_job(index, job, &streams, self.opts),
+            Err(message) => capture_failure(job, &message),
+        };
+        if let Some(stored) = StoredCell::from_cell(&cell) {
+            for s in self.run_store.iter().chain(self.store) {
+                if let Err(e) = s.store(job.id(), &stored) {
+                    eprintln!(
+                        "drs-harness: store write failed for job {} ({e}); \
+                         the result is complete in memory, only durability was lost",
+                        job.id()
+                    );
+                }
+            }
+        }
+        cell
+    }
+
+    /// The whole per-cell path: the stored cell, else a simulated one
+    /// (source `"sim"`).
+    pub(crate) fn run(&self, index: usize, job: &SimJob) -> (CellResult, &'static str) {
+        self.lookup(index, job).unwrap_or_else(|| (self.simulate(index, job), "sim"))
+    }
+
+    /// A report over `cells` carrying the pool's cache and store counters.
+    pub(crate) fn report(&self, cells: Vec<CellResult>, wall_ms: f64) -> RunReport {
+        let cache = match &self.opts.capture {
+            CaptureMode::Uncached => CacheCounters::default(),
+            CaptureMode::Cached(cache) => cache.counters(),
+        };
+        let run_counters = self.run_store.as_ref().map(ResultStore::counters).unwrap_or_default();
+        RunReport {
+            cells,
+            cache,
+            resumed: run_counters.hits as usize,
+            checkpoint_writes: run_counters.writes,
+            store: self.store.map(ResultStore::counters).unwrap_or_default(),
+            wall_ms,
+        }
     }
 }
 
 /// The failed cell of a job whose workload capture failed.
-pub(crate) fn capture_failure(job: &SimJob, message: &str) -> CellResult {
+fn capture_failure(job: &SimJob, message: &str) -> CellResult {
+    let message = format!("workload capture failed: {message}");
     CellResult {
-        job: *job,
-        empty: false,
-        completed: false,
-        stats: SimStats::default(),
-        telemetry: None,
-        sm_telemetry: Vec::new(),
-        chip_telemetry: None,
-        chip: None,
-        failure: Some(CellFailure {
-            kind: "capture".to_string(),
-            message: format!("workload capture failed: {message}"),
-            cycle: None,
-            injected: false,
-            warp_dump: None,
-        }),
-        attempts: 1,
-        wall_ms: 0.0,
+        failure: Some(CellFailure::new("capture", message, false)),
+        ..CellResult::blank(*job)
     }
 }
 
@@ -356,58 +416,24 @@ pub(crate) fn capture_failure(job: &SimJob, message: &str) -> CellResult {
 /// transient, and recorded per cell — see the module docs.
 pub fn run_jobs(jobs: &[SimJob], opts: &RunOptions) -> RunReport {
     let start = Instant::now();
-
-    // Both stores are telemetry-exclusive: stored cells carry counters
-    // only, so serving one would silently drop the reports an
-    // instrumented run exists to collect.
-    let (checkpoint, store) = match &opts.telemetry {
-        Some(_) => {
-            if opts.checkpoint.is_some() {
-                eprintln!("drs-harness: checkpointing disabled for telemetry runs");
-            }
-            if opts.store.is_some() {
-                eprintln!("drs-harness: result store disabled for telemetry runs");
-            }
-            (None, None)
-        }
-        None => (opts.checkpoint.as_ref(), opts.store.as_deref()),
-    };
-    let run_store = checkpoint.map(|spec| ResultStore::new(&spec.path));
-    let resume = checkpoint.is_some_and(|spec| spec.resume);
+    let pool = Pool::new(opts);
 
     // Serve what is already on disk before any capture or simulation
-    // happens: the run's own store first (on resume), then the shared one.
-    let prior: Vec<Option<(CellResult, &str)>> = jobs
-        .iter()
-        .enumerate()
-        .map(|(i, job)| {
-            match run_store.as_ref().filter(|_| resume).and_then(|s| s.lookup(job.id())) {
-                Some(cell) => Some((cell.to_cell(*job), "checkpoint")),
-                None => {
-                    store.and_then(|s| lookup_cell(s, &opts.faults, i, job)).map(|c| (c, "store"))
-                }
-            }
-        })
-        .collect();
+    // happens.
+    let prior: Vec<_> = jobs.iter().enumerate().map(|(i, job)| pool.lookup(i, job)).collect();
 
     // Phase 1: capture the distinct workloads still needed (served jobs
     // contribute nothing to the capture set).
-    let mut seen = std::collections::HashSet::new();
-    let mut distinct = Vec::new();
-    for (j, served) in jobs.iter().zip(&prior) {
-        if served.is_none() && seen.insert(j.workload.content_key()) {
-            distinct.push(j.workload);
-        }
-    }
-    let captured = parallel_map_catching(&distinct, opts.workers, |_, spec| match &opts.capture {
-        CaptureMode::Uncached => spec.capture(),
-        CaptureMode::Cached(cache) => cache.get_or_capture(spec),
-    });
-    let streams_by_key: HashMap<u64, Result<Arc<drs_trace::BounceStreams>, String>> = distinct
+    let mut seen = HashSet::new();
+    let needed: Vec<WorkloadSpec> = jobs
         .iter()
-        .zip(captured)
-        .map(|(spec, streams)| (spec.content_key(), streams.map(Arc::new).map_err(|p| p.message)))
+        .zip(&prior)
+        .filter(|(j, served)| served.is_none() && seen.insert(j.workload.content_key()))
+        .map(|(j, _)| j.workload)
         .collect();
+    parallel_map(&needed, opts.workers, |_, spec| {
+        let _ = pool.capture(spec);
+    });
 
     // Phase 2: simulate every cell.
     let total = jobs.len();
@@ -423,13 +449,7 @@ pub fn run_jobs(jobs: &[SimJob], opts: &RunOptions) -> RunReport {
         if opts.progress {
             eprintln!("[{}/{total}] start  {label}", i + 1);
         }
-        let cell = match &streams_by_key[&job.workload.content_key()] {
-            Ok(streams) => run_one_job(i, job, streams, opts),
-            Err(message) => capture_failure(job, message),
-        };
-        for s in run_store.iter().chain(store) {
-            persist_cell(s, &cell);
-        }
+        let cell = pool.simulate(i, job);
         if opts.progress {
             match &cell.failure {
                 Some(f) => eprintln!(
@@ -446,31 +466,16 @@ pub fn run_jobs(jobs: &[SimJob], opts: &RunOptions) -> RunReport {
 
     // A fully clean run needs no resume: drop the run's store so the next
     // run starts fresh.
-    if let Some(spec) = checkpoint {
+    if let Some(run_store) = &pool.run_store {
         if cells.iter().all(|c| c.completed && c.failure.is_none()) {
-            let _ = std::fs::remove_dir_all(&spec.path);
+            let _ = std::fs::remove_dir_all(run_store.dir());
         }
     }
-
-    let cache = match &opts.capture {
-        CaptureMode::Uncached => CacheCounters::default(),
-        CaptureMode::Cached(cache) => cache.counters(),
-    };
-    let run_counters = run_store.as_ref().map(ResultStore::counters).unwrap_or_default();
-    RunReport {
-        cells,
-        cache,
-        resumed: run_counters.hits as usize,
-        checkpoint_writes: run_counters.writes,
-        store: store.map(ResultStore::counters).unwrap_or_default(),
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
-    }
+    pool.report(cells, start.elapsed().as_secs_f64() * 1e3)
 }
 
-/// Run one job to a final [`CellResult`], owning the retry loop. Shared
-/// with the server, which schedules cells individually instead of
-/// through [`run_jobs`].
-pub(crate) fn run_one_job(
+/// Run one job to a final [`CellResult`], owning the retry loop.
+fn run_one_job(
     index: usize,
     job: &SimJob,
     streams: &Arc<drs_trace::BounceStreams>,
@@ -480,19 +485,7 @@ pub(crate) fn run_one_job(
     if job.bounce > streams.depth() || streams.bounce(job.bounce).scripts.is_empty() {
         // No surviving rays at this depth (open scenes): a real,
         // reportable cell with zeroed counters.
-        return CellResult {
-            job: *job,
-            empty: true,
-            completed: true,
-            stats: SimStats::default(),
-            telemetry: None,
-            sm_telemetry: Vec::new(),
-            chip_telemetry: None,
-            chip: None,
-            failure: None,
-            attempts: 1,
-            wall_ms: 0.0,
-        };
+        return CellResult { empty: true, completed: true, ..CellResult::blank(*job) };
     }
     let scripts = &streams.bounce(job.bounce).scripts;
     let max_attempts = 1 + opts.retries;
@@ -501,20 +494,9 @@ pub(crate) fn run_one_job(
         attempt += 1;
         let fault = opts.faults.fault_for(index, job.id(), attempt);
         match run_attempt(job, scripts, fault, opts) {
-            Ok(success) => {
-                return CellResult {
-                    job: *job,
-                    empty: false,
-                    completed: true,
-                    stats: success.stats,
-                    telemetry: success.telemetry,
-                    sm_telemetry: success.sm_telemetry,
-                    chip_telemetry: success.chip_telemetry,
-                    chip: success.chip,
-                    failure: None,
-                    attempts: attempt,
-                    wall_ms: job_start.elapsed().as_secs_f64() * 1e3,
-                };
+            Ok(cell) => {
+                let wall_ms = job_start.elapsed().as_secs_f64() * 1e3;
+                return CellResult { attempts: attempt, wall_ms, ..cell };
             }
             Err(boxed) => {
                 let (failure, partial) = *boxed;
@@ -531,39 +513,21 @@ pub(crate) fn run_one_job(
                     continue;
                 }
                 return CellResult {
-                    job: *job,
-                    empty: false,
-                    completed: false,
                     stats: partial,
-                    telemetry: None,
-                    sm_telemetry: Vec::new(),
-                    chip_telemetry: None,
-                    chip: None,
                     failure: Some(failure),
                     attempts: attempt,
                     wall_ms: job_start.elapsed().as_secs_f64() * 1e3,
+                    ..CellResult::blank(*job)
                 };
             }
         }
     }
 }
 
-/// What a successful attempt produced: the stats plus whichever
-/// telemetry artifacts the cell's mode yields (single-SMX report, or the
-/// per-SM reports and chip memory-system report for full-chip cells).
-struct AttemptSuccess {
-    stats: SimStats,
-    telemetry: Option<TelemetryReport>,
-    sm_telemetry: Vec<TelemetryReport>,
-    chip_telemetry: Option<ChipTelemetryReport>,
-    chip: Option<ChipSummary>,
-}
-
-/// Outcome of a single cell attempt. The error side is boxed —
-/// `SimStats` is large — and carries the partial stats accumulated
-/// before the failure. The chip summary is `Some` exactly for
-/// successful full-chip cells.
-type AttemptOutcome = Result<AttemptSuccess, Box<(CellFailure, SimStats)>>;
+/// Outcome of a single cell attempt: the completed cell (attempt count
+/// and wall-clock still unset), or the failure with the partial stats
+/// accumulated before it. The error side is boxed — `SimStats` is large.
+type AttemptOutcome = Result<CellResult, Box<(CellFailure, SimStats)>>;
 
 /// Flatten a finished chip run into the per-cell summary row.
 fn chip_summary(r: &drs_chip::ChipResult) -> ChipSummary {
@@ -594,14 +558,9 @@ fn run_attempt(
 ) -> AttemptOutcome {
     let injected = fault.is_some();
     if fault == Some(FaultKind::CacheCorrupt) {
+        let message = "injected corrupted capture-cache read".to_string();
         return Err(Box::new((
-            CellFailure {
-                kind: "cache_corrupt".to_string(),
-                message: "injected corrupted capture-cache read".to_string(),
-                cycle: None,
-                injected: true,
-                warp_dump: None,
-            },
+            CellFailure::new("cache_corrupt", message, true),
             SimStats::default(),
         )));
     }
@@ -631,36 +590,26 @@ fn run_attempt(
     }
     let outcome = catch_quietly(|| {
         assert!(fault != Some(FaultKind::WorkerPanic), "injected worker panic (job {})", job.id());
+        let mut cell = CellResult { completed: true, ..CellResult::blank(*job) };
         if cfg.chip.is_some() {
             let (result, sm_telemetry, chip_telemetry) =
                 crate::runner::run_chip_cell(&cfg, scripts, opts.telemetry);
-            match result {
-                Ok(chip) => {
-                    let summary = chip_summary(&chip);
-                    (Ok(chip.aggregate), None, sm_telemetry, chip_telemetry, Some(summary))
-                }
-                Err(err) => (Err(err), None, Vec::new(), None, None),
-            }
+            let chip = result?;
+            cell.chip = Some(chip_summary(&chip));
+            (cell.stats, cell.sm_telemetry, cell.chip_telemetry) =
+                (chip.aggregate, sm_telemetry, chip_telemetry);
         } else {
             let (result, telemetry) = crate::runner::run_cell(&cfg, scripts, opts.telemetry);
-            (result, telemetry, Vec::new(), None, None)
+            (cell.stats, cell.telemetry) = (result?, telemetry);
         }
+        Ok(cell)
     });
     match outcome {
-        Ok((Ok(stats), telemetry, sm_telemetry, chip_telemetry, chip)) => {
-            Ok(AttemptSuccess { stats, telemetry, sm_telemetry, chip_telemetry, chip })
+        Ok(Ok(cell)) => Ok(cell),
+        Ok(Err(err)) => Err(Box::new(failure_from_sim_error(err, injected))),
+        Err(message) => {
+            Err(Box::new((CellFailure::new("panic", message, injected), SimStats::default())))
         }
-        Ok((Err(err), _, _, _, _)) => Err(Box::new(failure_from_sim_error(err, injected))),
-        Err(caught) => Err(Box::new((
-            CellFailure {
-                kind: "panic".to_string(),
-                message: caught.message,
-                cycle: None,
-                injected,
-                warp_dump: None,
-            },
-            SimStats::default(),
-        ))),
     }
 }
 
@@ -714,32 +663,12 @@ mod tests {
     }
 
     #[test]
-    fn catching_map_isolates_panics_per_item() {
-        let items: Vec<usize> = (0..40).collect();
-        for workers in [1, 4] {
-            let out = parallel_map_catching(&items, workers, |_, &v| {
-                assert!(v % 7 != 3, "boom on {v}");
-                v * 10
-            });
-            assert_eq!(out.len(), items.len());
-            for (v, r) in items.iter().zip(&out) {
-                if v % 7 == 3 {
-                    let p = r.as_ref().unwrap_err();
-                    assert_eq!(p.message, format!("boom on {v}"));
-                } else {
-                    assert_eq!(*r.as_ref().unwrap(), v * 10);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn caught_panic_extracts_string_payloads() {
         let r = catch_unwind(|| panic!("static str")).unwrap_err();
-        assert_eq!(CaughtPanic::from_payload(r.as_ref()).message, "static str");
+        assert_eq!(panic_message(r.as_ref()), "static str");
         let r = catch_unwind(|| panic!("formatted {}", 7)).unwrap_err();
-        assert_eq!(CaughtPanic::from_payload(r.as_ref()).message, "formatted 7");
+        assert_eq!(panic_message(r.as_ref()), "formatted 7");
         let r = catch_unwind(|| std::panic::panic_any(42u32)).unwrap_err();
-        assert_eq!(CaughtPanic::from_payload(r.as_ref()).message, "panic with non-string payload");
+        assert_eq!(panic_message(r.as_ref()), "panic with non-string payload");
     }
 }

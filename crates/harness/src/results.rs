@@ -48,6 +48,11 @@ pub struct CellFailure {
 }
 
 impl CellFailure {
+    /// A failure outside the simulated clock (no cycle, no warp dump).
+    pub(crate) fn new(kind: &str, message: String, injected: bool) -> CellFailure {
+        CellFailure { kind: kind.to_string(), message, cycle: None, injected, warp_dump: None }
+    }
+
     /// Append this failure as a JSON object. `attempts` is the total
     /// number of attempts the pool made on the cell.
     pub fn write_json(&self, j: &mut JsonBuf, attempts: u32) {
@@ -175,6 +180,24 @@ pub struct CellResult {
 }
 
 impl CellResult {
+    /// A cell of `job` that has not run: not completed, zero stats, no
+    /// artifacts, one attempt.
+    pub(crate) fn blank(job: SimJob) -> CellResult {
+        CellResult {
+            job,
+            empty: false,
+            completed: false,
+            stats: SimStats::default(),
+            telemetry: None,
+            sm_telemetry: Vec::new(),
+            chip_telemetry: None,
+            failure: None,
+            chip: None,
+            attempts: 1,
+            wall_ms: 0.0,
+        }
+    }
+
     /// Whole-GPU throughput for this cell. Single-SMX cells scale by
     /// `smx_count`; chip cells already aggregate every SM's rays, so
     /// their stats are whole-chip and scale by 1.

@@ -127,69 +127,6 @@ pub fn run_cell(
     }
 }
 
-/// Run `method` with `warps` resident warps over one ray stream to
-/// completion, with the default safety cycle cap and no injection.
-///
-/// # Errors
-///
-/// Returns the typed [`SimError`] (cycle cap, watchdog, invariant) with
-/// partial stats instead of panicking; the caller decides how to report it.
-pub fn run_method_with_warps(
-    method: Method,
-    warps: usize,
-    scripts: &[RayScript],
-) -> Result<SimStats, SimError> {
-    run_inner(&CellConfig::new(method, warps), scripts, None)
-}
-
-/// Like [`run_method_with_warps`], with explicit control over the engine's
-/// event-driven fast path. `fastpath: false` forces naive one-cycle
-/// stepping — the reference behavior the fast-path tests and the CI A/B
-/// smoke diff against; results are bit-identical either way.
-///
-/// # Errors
-///
-/// See [`run_method_with_warps`].
-pub fn run_method_with_warps_fastpath(
-    method: Method,
-    warps: usize,
-    scripts: &[RayScript],
-    fastpath: bool,
-) -> Result<SimStats, SimError> {
-    run_inner(&CellConfig { fastpath, ..CellConfig::new(method, warps) }, scripts, None)
-}
-
-/// Like [`run_method_with_warps`], but with a [`TelemetryCollector`]
-/// attached: also returns the stall-attribution / timeline report.
-///
-/// Telemetry is observational — the stats are bit-identical to the plain
-/// runner's (asserted by the harness test suite).
-pub fn run_method_with_warps_telemetry(
-    method: Method,
-    warps: usize,
-    scripts: &[RayScript],
-    config: TelemetryConfig,
-) -> (Result<SimStats, SimError>, TelemetryReport) {
-    run_method_with_warps_telemetry_fastpath(method, warps, scripts, config, true)
-}
-
-/// Like [`run_method_with_warps_telemetry`], with explicit fast-path
-/// control. The telemetry report — totals, interval timeline, trace spans
-/// — is identical with the fast path on or off (asserted by the harness
-/// test suite): skipped spans are bulk-charged to the same buckets naive
-/// stepping would attribute cycle by cycle.
-pub fn run_method_with_warps_telemetry_fastpath(
-    method: Method,
-    warps: usize,
-    scripts: &[RayScript],
-    config: TelemetryConfig,
-    fastpath: bool,
-) -> (Result<SimStats, SimError>, TelemetryReport) {
-    let cfg = CellConfig { fastpath, ..CellConfig::new(method, warps) };
-    let (out, report) = run_cell(&cfg, scripts, Some(config));
-    (out, report.expect("telemetry was requested"))
-}
-
 fn run_inner<'w>(
     cfg: &CellConfig,
     scripts: &'w [RayScript],
@@ -342,14 +279,10 @@ mod tests {
         let scene = SceneKind::Conference.build_with_tris(2_000);
         let streams = BounceStreams::capture(&scene, 300, 2, 7);
         let scripts = &streams.bounce(2).scripts;
-        let a = run_method_with_warps(Method::Aila, 8, scripts).expect("completes");
-        let b = run_method_with_warps(
-            Method::AilaVariant { speculative_traversal: true, replace_terminated: true },
-            8,
-            scripts,
-        )
-        .expect("completes");
-        assert_eq!(a, b);
+        let variant = Method::AilaVariant { speculative_traversal: true, replace_terminated: true };
+        let (a, _) = run_cell(&CellConfig::new(Method::Aila, 8), scripts, None);
+        let (b, _) = run_cell(&CellConfig::new(variant, 8), scripts, None);
+        assert_eq!(a.expect("completes"), b.expect("completes"));
     }
 
     #[test]
@@ -357,14 +290,11 @@ mod tests {
         let scene = SceneKind::Conference.build_with_tris(2_000);
         let streams = BounceStreams::capture(&scene, 300, 2, 7);
         let scripts = &streams.bounce(1).scripts;
-        let plain = run_method_with_warps(Method::Aila, 8, scripts).expect("completes");
-        let (out, report) = run_method_with_warps_telemetry(
-            Method::Aila,
-            8,
-            scripts,
-            TelemetryConfig { interval: 500, trace: true, ..TelemetryConfig::default() },
-        );
-        let stats = out.expect("completes");
+        let cfg = CellConfig::new(Method::Aila, 8);
+        let plain = run_cell(&cfg, scripts, None).0.expect("completes");
+        let tcfg = TelemetryConfig { interval: 500, trace: true, ..TelemetryConfig::default() };
+        let (out, report) = run_cell(&cfg, scripts, Some(tcfg));
+        let (stats, report) = (out.expect("completes"), report.expect("telemetry was requested"));
         assert_eq!(plain, stats, "attaching telemetry must not change results");
         assert_eq!(report.warps, 8);
         assert_eq!(report.cycles, stats.cycles);

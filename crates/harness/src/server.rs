@@ -32,6 +32,18 @@
 //! servers — or an interrupted-then-restarted one — produce comparable
 //! bytes (`cmp`-equal, as the chaos tests assert).
 //!
+//! [`Client`] is the protocol's one client. It fails with
+//! [`ClientError::CellAfterDone`] if a ticket's `cell` event arrives
+//! after its `done`.
+//!
+//! # Execution
+//!
+//! Each claimed cell goes through the pool's per-cell path, the one
+//! [`run_jobs`](crate::pool::run_jobs) maps a grid through, with a
+//! capture memo that lives as long as the server. A ticket's document is
+//! the [`ResultsFile`] a `run_jobs` caller builds, so a served figure is
+//! byte-identical to a pooled one.
+//!
 //! # Scheduling and degradation
 //!
 //! Admitted tickets share the worker pool via round-robin: each ticket
@@ -53,17 +65,15 @@ use crate::cache::StreamCache;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::figures;
 use crate::job::{Scale, SimJob};
-use crate::pool::{
-    capture_failure, catch_quietly, lookup_cell, persist_cell, run_one_job, CaptureMode, RunOptions,
-};
+use crate::pool::{CaptureMode, Pool, RunOptions};
 use crate::results::{CellResult, ResultsFile};
 use crate::store::ResultStore;
 use drs_sim::{GpuConfig, JsonBuf};
 use drs_telemetry::check::{self, Value};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -221,17 +231,15 @@ fn kill_locked(slot: &mut Option<UnixStream>) {
     }
 }
 
-struct Inner {
+struct Inner<'p> {
     opts: ServerOptions,
     control: ServerControl,
-    store: Arc<ResultStore>,
-    run_opts: RunOptions,
+    /// The pool's per-cell path, kept for the server's lifetime: its
+    /// capture memo spans every ticket, its store is the durability root.
+    pool: Pool<'p>,
     sched: Mutex<Sched>,
     work: Condvar,
     clients: Mutex<HashMap<u64, Arc<ClientHandle>>>,
-    /// Captured streams memo, keyed by workload content key — the
-    /// server-lifetime analogue of the pool's per-run capture phase.
-    streams: Mutex<HashMap<u64, Arc<drs_trace::BounceStreams>>>,
     /// Set once workers have exited; tells client reader threads to
     /// wind down.
     clients_stop: AtomicBool,
@@ -304,46 +312,34 @@ impl Server {
                 opts.workers
             );
         }
-        let store = Arc::new(ResultStore::new(&opts.store_dir));
+        // Each cell runs serially on the server worker that claimed it.
         let run_opts = RunOptions {
-            workers: 1, // each cell runs on one server worker thread
             capture: CaptureMode::Cached(StreamCache::with_limit(
                 &opts.cache_dir,
                 opts.cache_limit,
             )),
-            telemetry: None,
-            progress: false,
             fastpath: opts.fastpath,
             retries: opts.retries,
-            retry_backoff_ms: 10,
-            job_cycle_budget: None,
-            job_timeout_ms: None,
-            chip_threads: 1,
             faults: opts.faults.clone(),
-            checkpoint: None,
-            store: None, // the server drives the store itself, per cell
+            store: Some(Arc::new(ResultStore::new(&opts.store_dir))),
+            ..RunOptions::serial()
         };
         let workers = opts.workers.max(1);
         let socket_path = opts.socket.clone();
-        let inner = Arc::new(Inner {
+        let inner = Inner {
             opts,
             control: control.clone(),
-            store,
-            run_opts,
+            pool: Pool::new(&run_opts),
             sched: Mutex::default(),
             work: Condvar::new(),
             clients: Mutex::new(HashMap::new()),
-            streams: Mutex::new(HashMap::new()),
             clients_stop: AtomicBool::new(false),
-        });
+        };
+        let inner = &inner;
 
         std::thread::scope(|s| {
-            let worker_handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let inner = Arc::clone(&inner);
-                    s.spawn(move || worker_loop(&inner))
-                })
-                .collect();
+            let worker_handles: Vec<_> =
+                (0..workers).map(|_| s.spawn(move || worker_loop(inner))).collect();
 
             // Accept loop: polls the listener so stop flags stay live.
             let mut next_client = 0u64;
@@ -355,8 +351,7 @@ impl Server {
                     Ok((stream, _)) => {
                         let id = next_client;
                         next_client += 1;
-                        let inner = Arc::clone(&inner);
-                        s.spawn(move || client_loop(&inner, stream, id));
+                        s.spawn(move || client_loop(inner, stream, id));
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(POLL_MS));
@@ -438,43 +433,9 @@ fn worker_loop(inner: &Inner) {
             }
         };
         let Some((ticket_id, index, job, client_id)) = claimed else { return };
-        let (cell, source) = execute_cell(inner, index, &job);
+        let (cell, source) = inner.pool.run(index, &job);
         finish_cell(inner, ticket_id, index, client_id, cell, source);
     }
-}
-
-/// Run one cell: store lookup first (with injected corruption applied),
-/// then capture + simulate, then persist.
-fn execute_cell(inner: &Inner, index: usize, job: &SimJob) -> (CellResult, &'static str) {
-    if let Some(cell) = lookup_cell(&inner.store, &inner.run_opts.faults, index, job) {
-        return (cell, "store");
-    }
-    let streams = {
-        let memo = inner.streams.lock().unwrap_or_else(PoisonError::into_inner);
-        memo.get(&job.workload.content_key()).cloned()
-    };
-    let streams = match streams {
-        Some(s) => Ok(s),
-        None => catch_quietly(|| match &inner.run_opts.capture {
-            CaptureMode::Uncached => job.workload.capture(),
-            CaptureMode::Cached(cache) => cache.get_or_capture(&job.workload),
-        })
-        .map(|streams| {
-            let streams = Arc::new(streams);
-            inner
-                .streams
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(job.workload.content_key(), Arc::clone(&streams));
-            streams
-        }),
-    };
-    let cell = match streams {
-        Ok(streams) => run_one_job(index, job, &streams, &inner.run_opts),
-        Err(panic) => capture_failure(job, &panic.message),
-    };
-    persist_cell(&inner.store, &cell);
-    (cell, "sim")
 }
 
 /// Record a finished cell, emit its `cell` event (and `done` when the
@@ -487,8 +448,8 @@ fn finish_cell(
     cell: CellResult,
     source: &'static str,
 ) {
-    let disconnect = inner.run_opts.faults.fault_for(index, cell.job.id(), 1)
-        == Some(FaultKind::ClientDisconnect);
+    let disconnect =
+        inner.opts.faults.fault_for(index, cell.job.id(), 1) == Some(FaultKind::ClientDisconnect);
     let client = {
         let clients = inner.clients.lock().unwrap_or_else(PoisonError::into_inner);
         clients.get(&client_id).cloned()
@@ -544,27 +505,13 @@ fn finish_cell(
     }
 }
 
-/// Build the deterministic results document for a completed ticket.
+/// The deterministic results document of a completed ticket: the same
+/// `stats_json` a `run_jobs` caller writes for the figure's grid.
 fn ticket_doc(inner: &Inner, ticket: &Ticket) -> String {
-    let cells: Vec<(Vec<String>, CellResult)> = ticket
-        .results
-        .iter()
-        .map(|c| (vec![ticket.figure.clone()], c.clone().expect("ticket complete")))
-        .collect();
-    let file = ResultsFile {
-        mode: ticket.figure.clone(),
-        workers: inner.opts.workers,
-        cache: match &inner.run_opts.capture {
-            CaptureMode::Uncached => crate::cache::CacheCounters::default(),
-            CaptureMode::Cached(cache) => cache.counters(),
-        },
-        store: inner.store.counters(),
-        wall_ms: 0.0,
-        resumed: 0,
-        checkpoint_writes: 0,
-        cells,
-    };
-    file.stats_json()
+    let cells = ticket.results.iter().map(|c| c.clone().expect("ticket complete")).collect();
+    let figures = vec![vec![ticket.figure.clone()]; ticket.jobs.len()];
+    let report = inner.pool.report(cells, 0.0);
+    ResultsFile::from_report(&ticket.figure, inner.opts.workers, report, figures).stats_json()
 }
 
 /// One client connection: read ops line by line, answer with events.
@@ -769,4 +716,269 @@ fn status_op(inner: &Inner, client: &Arc<ClientHandle>) {
     j.kv_u64("workers", inner.opts.workers as u64);
     j.end_obj();
     client.send(&j.finish());
+}
+
+/// How long [`Client::connect`] retries while the server is still binding
+/// its socket.
+const CONNECT_WAIT: Duration = Duration::from_secs(10);
+
+/// Why a [`Client`] call failed.
+#[derive(Debug)]
+pub enum ClientError {
+    /// The socket failed: connect, read, write, or a read timeout.
+    Io(std::io::Error),
+    /// The server closed the connection.
+    Closed,
+    /// The server refused a submission.
+    Refused(Refusal),
+    /// A `cell` event for this ticket arrived after the ticket's `done`.
+    CellAfterDone(u64),
+    /// An event the protocol does not allow at that point.
+    Unexpected(String),
+}
+
+/// A submission the server refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Refusal {
+    /// The admission queue is full (`limit` undispatched cells).
+    Busy {
+        /// The server's `queue_limit`.
+        limit: u64,
+    },
+    /// The server is draining.
+    Draining,
+    /// The server's `error` message (an unknown figure, say).
+    Error(String),
+}
+
+impl std::fmt::Display for ClientError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ClientError::Io(e) => write!(f, "server connection lost: {e}"),
+            ClientError::Closed => f.write_str("server closed the connection"),
+            ClientError::Refused(Refusal::Busy { .. }) => {
+                f.write_str("server is at its admission limit (busy); retry later")
+            }
+            ClientError::Refused(Refusal::Draining) => {
+                f.write_str("server is draining and refused the submission")
+            }
+            ClientError::Refused(Refusal::Error(msg)) => {
+                write!(f, "submission failed (error): {msg}")
+            }
+            ClientError::CellAfterDone(t) => write!(f, "cell event after ticket {t}'s done"),
+            ClientError::Unexpected(line) => write!(f, "unexpected server event: {line}"),
+        }
+    }
+}
+
+impl std::error::Error for ClientError {}
+
+impl From<std::io::Error> for ClientError {
+    fn from(e: std::io::Error) -> ClientError {
+        ClientError::Io(e)
+    }
+}
+
+/// One server event: the line as sent (without its newline) and its parse.
+#[derive(Debug)]
+pub struct Event {
+    /// The raw line.
+    pub line: String,
+    value: Value,
+}
+
+impl Event {
+    /// The `event` field (`cell`, `done`, …).
+    pub fn kind(&self) -> &str {
+        self.str("event").unwrap_or("")
+    }
+
+    /// A string field.
+    pub fn str(&self, key: &str) -> Option<&str> {
+        self.value.get(key).and_then(Value::as_str)
+    }
+
+    /// A numeric field.
+    pub fn num(&self, key: &str) -> Option<u64> {
+        self.value.get(key).and_then(Value::as_num).map(|n| n as u64)
+    }
+}
+
+/// An accepted submission.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Submitted {
+    /// The ticket id.
+    pub ticket: u64,
+    /// Cells in the ticket's grid.
+    pub jobs: u64,
+}
+
+/// The protocol client `experiments submit` and the service tests use.
+pub struct Client {
+    reader: BufReader<UnixStream>,
+    writer: UnixStream,
+    /// Bytes of a line a timed-out read left unfinished.
+    partial: Vec<u8>,
+    /// Tickets whose `done` event has arrived.
+    done: HashSet<u64>,
+}
+
+impl Client {
+    /// Connect to `socket`, retrying for up to 10 s while the server is
+    /// still binding it, and read the `hello`. A later read fails with a
+    /// timed-out [`ClientError::Io`] after `timeout` of silence (`None`
+    /// waits for ever).
+    pub fn connect(socket: &Path, timeout: Option<Duration>) -> Result<Client, ClientError> {
+        let deadline = std::time::Instant::now() + CONNECT_WAIT;
+        loop {
+            match UnixStream::connect(socket) {
+                Ok(stream) => return Client::over(stream, timeout),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::NotFound | std::io::ErrorKind::ConnectionRefused
+                    ) && std::time::Instant::now() < deadline =>
+                {
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+
+    /// A client over a connected stream; reads the `hello`.
+    fn over(stream: UnixStream, timeout: Option<Duration>) -> Result<Client, ClientError> {
+        stream.set_read_timeout(timeout)?;
+        let writer = stream.try_clone()?;
+        let reader = BufReader::new(stream);
+        let mut client = Client { reader, writer, partial: Vec::new(), done: HashSet::new() };
+        let hello = client.recv()?;
+        if hello.kind() != "hello" {
+            return Err(ClientError::Unexpected(hello.line));
+        }
+        Ok(client)
+    }
+
+    /// Send one op line.
+    pub fn send(&mut self, op: &str) -> Result<(), ClientError> {
+        self.writer.write_all(op.as_bytes())?;
+        Ok(self.writer.write_all(b"\n")?)
+    }
+
+    /// The next event. Fails on end of stream, a read error or timeout,
+    /// an unparseable line, or a `cell` event after its ticket's `done`.
+    pub fn recv(&mut self) -> Result<Event, ClientError> {
+        loop {
+            // A timed-out read keeps its bytes in `partial` for the next
+            // call; a line without its newline means end of stream.
+            self.reader.read_until(b'\n', &mut self.partial)?;
+            if self.partial.last() != Some(&b'\n') {
+                return Err(ClientError::Closed);
+            }
+            let bytes = std::mem::take(&mut self.partial);
+            let line = String::from_utf8_lossy(&bytes).trim().to_string();
+            if line.is_empty() {
+                continue;
+            }
+            let Ok(value) = check::parse(&line) else { return Err(ClientError::Unexpected(line)) };
+            let event = Event { line, value };
+            match (event.kind(), event.num("ticket")) {
+                ("done", Some(t)) => {
+                    self.done.insert(t);
+                }
+                ("cell", Some(t)) if self.done.contains(&t) => {
+                    return Err(ClientError::CellAfterDone(t))
+                }
+                _ => {}
+            }
+            return Ok(event);
+        }
+    }
+
+    /// Submit `figure`'s grid; a `busy`, `draining` or `error` answer is
+    /// a [`ClientError::Refused`].
+    pub fn submit(&mut self, figure: &str) -> Result<Submitted, ClientError> {
+        let mut op = JsonBuf::new();
+        op.begin_obj();
+        op.kv_str("op", "submit");
+        op.kv_str("figure", figure);
+        op.end_obj();
+        self.send(&op.finish())?;
+        let ev = self.recv()?;
+        let refusal = match ev.kind() {
+            "accepted" => {
+                let (ticket, jobs) = (ev.num("ticket"), ev.num("jobs"));
+                return Ok(Submitted { ticket: ticket.unwrap_or(0), jobs: jobs.unwrap_or(0) });
+            }
+            "busy" => Refusal::Busy { limit: ev.num("limit").unwrap_or(0) },
+            "draining" => Refusal::Draining,
+            "error" => Refusal::Error(ev.str("message").unwrap_or("").to_string()),
+            _ => return Err(ClientError::Unexpected(ev.line)),
+        };
+        Err(ClientError::Refused(refusal))
+    }
+
+    /// Read events until `ticket`'s `done`, handing each of its `cell`
+    /// events to `on_cell`, and return how many of its cells failed.
+    /// Other tickets' `cell` and `done` events are skipped; any other
+    /// event is an error.
+    pub fn wait(
+        &mut self,
+        ticket: u64,
+        mut on_cell: impl FnMut(&Event),
+    ) -> Result<u64, ClientError> {
+        loop {
+            let ev = self.recv()?;
+            let ours = ev.num("ticket") == Some(ticket);
+            match ev.kind() {
+                "cell" if ours => on_cell(&ev),
+                "done" if ours => return Ok(ev.num("failed").unwrap_or(0)),
+                "cell" | "done" => {}
+                _ => return Err(ClientError::Unexpected(ev.line)),
+            }
+        }
+    }
+
+    /// `ticket`'s results document, byte for byte as the server wrote it
+    /// (sliced out of the `results` event, not re-serialized), polling
+    /// through `pending` while the ticket still runs.
+    pub fn fetch(&mut self, ticket: u64) -> Result<String, ClientError> {
+        loop {
+            self.send(&format!("{{\"op\":\"fetch\",\"ticket\":{ticket}}}"))?;
+            let ev = self.recv()?;
+            match (ev.kind(), ev.line.find("\"doc\":")) {
+                ("pending", _) => std::thread::sleep(Duration::from_millis(POLL_MS)),
+                // `fetch_op` composes `{"event":"results","ticket":N,"doc":DOC}`.
+                ("results", Some(at)) => return Ok(ev.line[at + 6..ev.line.len() - 1].to_string()),
+                _ => return Err(ClientError::Unexpected(ev.line)),
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fake server sends a `cell` event after its ticket's `done`, then
+    /// a document: the client fails with the ordering error instead of
+    /// returning the document.
+    #[test]
+    fn client_rejects_a_cell_event_after_its_tickets_done() {
+        let (client_end, mut server_end) = UnixStream::pair().unwrap();
+        for line in [
+            r#"{"event":"hello","protocol":1,"client":0}"#,
+            r#"{"event":"accepted","ticket":0,"figure":"fig2","jobs":1}"#,
+            r#"{"event":"done","ticket":0,"completed":1,"failed":0}"#,
+            r#"{"event":"cell","ticket":0,"index":0,"cell":"late","source":"sim","ok":true}"#,
+            r#"{"event":"results","ticket":0,"doc":{"cells":[]}}"#,
+        ] {
+            writeln!(server_end, "{line}").unwrap();
+        }
+        let mut client = Client::over(client_end, Some(Duration::from_secs(10))).unwrap();
+        assert_eq!(client.submit("fig2").unwrap(), Submitted { ticket: 0, jobs: 1 });
+        assert_eq!(client.wait(0, |_| panic!("no cell before done")).unwrap(), 0);
+        let fetched = client.fetch(0);
+        assert!(matches!(fetched, Err(ClientError::CellAfterDone(0))), "{fetched:?}");
+    }
 }

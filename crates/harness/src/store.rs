@@ -162,17 +162,13 @@ impl StoredCell {
     /// it was matched to.
     pub fn to_cell(&self, job: SimJob) -> CellResult {
         CellResult {
-            job,
             empty: self.empty,
             completed: true,
             stats: self.stats.clone(),
-            telemetry: None,
-            sm_telemetry: Vec::new(),
-            chip_telemetry: None,
-            failure: None,
             chip: self.chip.clone(),
             attempts: self.attempts,
             wall_ms: self.wall_ms,
+            ..CellResult::blank(job)
         }
     }
 

@@ -15,14 +15,18 @@
 //! 5. **Client disconnects** (injected) kill only the connection: the
 //!    grid still completes into the store and a fresh connection fetches
 //!    the full results.
+//! 6. **Server == pool**: a served figure's document is byte-identical to
+//!    the `stats_json` of the same grid run through `run_jobs`.
+//!
+//! Every test drives the shipped protocol client, [`Client`].
 
-use drs_harness::{FaultPlan, Scale, Server, ServerControl, ServerOptions};
-use std::collections::HashSet;
-use std::io::{BufRead, BufReader, Write};
-use std::os::unix::net::UnixStream;
+use drs_harness::{
+    figures, run_jobs, Client, ClientError, FaultPlan, Refusal, ResultsFile, RunOptions, Scale,
+    Server, ServerControl, ServerOptions,
+};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Reduced scale so grids stay fast in debug CI runs.
 fn tiny_scale() -> Scale {
@@ -47,177 +51,78 @@ fn server_opts(tag: &str, store_dir: &Path) -> ServerOptions {
     }
 }
 
-/// Spawn a server on its own thread; returns the join handle.
-fn spawn_server(
-    opts: ServerOptions,
+/// A server running on its own thread.
+struct Running {
+    socket: PathBuf,
     control: ServerControl,
-) -> std::thread::JoinHandle<std::io::Result<()>> {
-    std::thread::spawn(move || Server::run_controlled(opts, &control))
+    handle: std::thread::JoinHandle<std::io::Result<()>>,
 }
 
-/// A minimal protocol client with a read timeout on every event.
-struct Client {
-    reader: BufReader<UnixStream>,
-    writer: UnixStream,
-    /// Tickets whose `done` event has arrived.
-    done: HashSet<u64>,
-}
-
-impl Client {
-    /// Connect, retrying while the server is still binding its socket.
-    fn connect(socket: &Path) -> Client {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let stream = loop {
-            match UnixStream::connect(socket) {
-                Ok(s) => break s,
-                Err(e) if Instant::now() < deadline => {
-                    let _ = e;
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => panic!("could not connect to {}: {e}", socket.display()),
-            }
-        };
-        stream.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
-        let writer = stream.try_clone().unwrap();
-        let mut c = Client { reader: BufReader::new(stream), writer, done: HashSet::new() };
-        let hello = c.recv().expect("hello event");
-        assert!(hello.contains("\"event\":\"hello\""), "unexpected greeting: {hello}");
-        c
+impl Running {
+    fn start(opts: ServerOptions) -> Running {
+        let (socket, control) = (opts.socket.clone(), ServerControl::default());
+        let ctl = control.clone();
+        let handle = std::thread::spawn(move || Server::run_controlled(opts, &ctl));
+        Running { socket, control, handle }
     }
 
-    fn send(&mut self, line: &str) {
-        self.writer.write_all(line.as_bytes()).unwrap();
-        self.writer.write_all(b"\n").unwrap();
+    /// Connect with a 30 s silence limit per event (a hung test beats a
+    /// deadlocked CI).
+    fn connect(&self) -> Client {
+        Client::connect(&self.socket, Some(Duration::from_secs(30))).expect("connect and hello")
     }
 
-    /// Next protocol line, or `None` when the server closed the stream.
-    /// Panics after 30 s of silence (a hung test beats a deadlocked CI),
-    /// and on a `cell` event arriving after its ticket's `done`.
-    fn recv(&mut self) -> Option<String> {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match self.reader.read_line(&mut line) {
-                Ok(0) => return None,
-                Ok(_) => {
-                    let ev = line.trim().to_string();
-                    let ticket = field_u64(&ev, "ticket");
-                    if ev.contains("\"event\":\"done\"") {
-                        self.done.extend(ticket);
-                    }
-                    if ev.contains("\"event\":\"cell\"") {
-                        assert!(
-                            !ticket.is_some_and(|t| self.done.contains(&t)),
-                            "cell event after its ticket's done: {ev}"
-                        );
-                    }
-                    return Some(ev);
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    assert!(Instant::now() < deadline, "no server event within 30s");
-                }
-                Err(e) => panic!("read failed: {e}"),
-            }
-        }
-    }
-
-    /// Submit `figure` and return the ticket id from the `accepted` event.
-    fn submit(&mut self, figure: &str) -> u64 {
-        self.send(&format!("{{\"op\":\"submit\",\"figure\":\"{figure}\"}}"));
-        let ev = self.recv().expect("accepted event");
-        assert!(ev.contains("\"event\":\"accepted\""), "submit was not accepted: {ev}");
-        field_u64(&ev, "ticket").expect("accepted carries a ticket id")
-    }
-
-    /// Read events until this ticket's `done`, then fetch and return the
-    /// embedded deterministic results document (raw bytes, unreparsed).
-    fn wait_and_fetch(&mut self, ticket: u64) -> String {
-        loop {
-            let ev = self.recv().expect("event stream ended before done");
-            if ev.contains("\"event\":\"done\"") && field_u64(&ev, "ticket") == Some(ticket) {
-                break;
-            }
-        }
-        self.fetch(ticket)
-    }
-
-    /// Fetch a completed ticket's document (poll through `pending`).
-    fn fetch(&mut self, ticket: u64) -> String {
-        loop {
-            self.send(&format!("{{\"op\":\"fetch\",\"ticket\":{ticket}}}"));
-            let ev = self.recv().expect("fetch response");
-            if ev.contains("\"event\":\"pending\"") {
-                std::thread::sleep(Duration::from_millis(50));
-                continue;
-            }
-            assert!(ev.contains("\"event\":\"results\""), "fetch failed: {ev}");
-            let at = ev.find("\"doc\":").expect("results event embeds the document");
-            return ev[at + "\"doc\":".len()..ev.len() - 1].to_string();
-        }
+    /// Graceful drain (or abrupt abort), then join.
+    fn stop(self, abort: bool) {
+        let flag = if abort { &self.control.abort } else { &self.control.drain };
+        flag.store(true, Ordering::Relaxed);
+        self.handle.join().expect("server thread panicked").expect("server errored");
     }
 }
 
-/// The numeric field `"name":N` of a single-line JSON event.
-fn field_u64(line: &str, name: &str) -> Option<u64> {
-    let at = line.find(&format!("\"{name}\":"))? + name.len() + 3;
-    let rest = &line[at..];
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn drain_and_join(control: &ServerControl, handle: std::thread::JoinHandle<std::io::Result<()>>) {
-    control.drain.store(true, Ordering::Relaxed);
-    handle.join().expect("server thread panicked").expect("server errored");
+/// Submit fig2, wait for its `done`, and fetch the document.
+fn fig2(client: &mut Client) -> (u64, String) {
+    let ticket = client.submit("fig2").expect("submission accepted").ticket;
+    client.wait(ticket, |_| {}).expect("ticket done");
+    (ticket, client.fetch(ticket).expect("results document"))
 }
 
 #[test]
 fn submit_stream_fetch_and_store_backed_repeat_are_byte_identical() {
     let store = fresh_dir("basic-store");
-    let opts = server_opts("basic", &store);
-    let socket = opts.socket.clone();
-    let control = ServerControl::default();
-    let server = spawn_server(opts, control.clone());
+    let server = Running::start(server_opts("basic", &store));
 
-    let mut client = Client::connect(&socket);
-    let t1 = client.submit("fig2");
-    let doc1 = client.wait_and_fetch(t1);
+    let mut client = server.connect();
+    let (t1, doc1) = fig2(&mut client);
     assert!(doc1.contains("\"suite\":"), "results look like a stats document: {doc1}");
 
     // Same figure again on the same connection: everything comes from
     // the store, and the document is byte-identical.
-    let t2 = client.submit("fig2");
+    let (t2, doc2) = fig2(&mut client);
     assert_ne!(t1, t2, "tickets are unique");
-    let doc2 = client.wait_and_fetch(t2);
     assert_eq!(doc1, doc2, "store-served repeat must be byte-identical");
 
-    drain_and_join(&control, server);
+    server.stop(false);
     let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
 fn submissions_past_the_queue_limit_are_shed_with_busy() {
     let store = fresh_dir("busy-store");
-    let opts = ServerOptions { queue_limit: 1, ..server_opts("busy", &store) };
-    let socket = opts.socket.clone();
-    let control = ServerControl::default();
-    let server = spawn_server(opts, control.clone());
+    let server = Running::start(ServerOptions { queue_limit: 1, ..server_opts("busy", &store) });
 
-    let mut client = Client::connect(&socket);
+    let mut client = server.connect();
     // fig2 has more than one cell, so it cannot fit a 1-cell queue.
-    client.send("{\"op\":\"submit\",\"figure\":\"fig2\"}");
-    let ev = client.recv().expect("response");
-    assert!(ev.contains("\"event\":\"busy\""), "expected busy shedding, got: {ev}");
-    assert!(ev.contains("\"limit\":1"), "busy names the limit: {ev}");
+    match client.submit("fig2") {
+        Err(ClientError::Refused(Refusal::Busy { limit: 1 })) => {}
+        other => panic!("expected busy shedding naming the limit, got: {other:?}"),
+    }
     // The server is still healthy: status answers.
-    client.send("{\"op\":\"status\"}");
+    client.send("{\"op\":\"status\"}").expect("send status");
     let st = client.recv().expect("status");
-    assert!(st.contains("\"event\":\"status\""), "{st}");
+    assert_eq!(st.kind(), "status", "{}", st.line);
 
-    drain_and_join(&control, server);
+    server.stop(false);
     let _ = std::fs::remove_dir_all(&store);
 }
 
@@ -225,49 +130,36 @@ fn submissions_past_the_queue_limit_are_shed_with_busy() {
 fn abort_restart_resubmit_converges_to_the_uninterrupted_document() {
     // Reference: an uninterrupted run on its own store.
     let ref_store = fresh_dir("conv-ref-store");
-    let ref_opts = server_opts("conv-ref", &ref_store);
-    let ref_socket = ref_opts.socket.clone();
-    let ref_control = ServerControl::default();
-    let ref_server = spawn_server(ref_opts, ref_control.clone());
-    let mut ref_client = Client::connect(&ref_socket);
-    let t = ref_client.submit("fig2");
-    let reference = ref_client.wait_and_fetch(t);
-    drain_and_join(&ref_control, ref_server);
+    let ref_server = Running::start(server_opts("conv-ref", &ref_store));
+    let (_, reference) = fig2(&mut ref_server.connect());
+    ref_server.stop(false);
 
     // Crash run: abort the server mid-grid (workers=1 so cells finish
     // one at a time), dropping all still-queued work on the floor.
     let store = fresh_dir("conv-store");
-    let opts = ServerOptions { workers: 1, ..server_opts("conv-a", &store) };
-    let socket = opts.socket.clone();
-    let control = ServerControl::default();
-    let server = spawn_server(opts, control.clone());
-    let mut client = Client::connect(&socket);
-    let _ = client.submit("fig2");
+    let server = Running::start(ServerOptions { workers: 1, ..server_opts("conv-a", &store) });
+    let mut client = server.connect();
+    client.submit("fig2").expect("submission accepted");
     // Wait for the first finished cell, then pull the plug.
     loop {
         match client.recv() {
-            Some(ev) if ev.contains("\"event\":\"cell\"") => break,
-            Some(_) => {}
-            None => break, // server already gone
+            Ok(ev) if ev.kind() == "cell" => break,
+            Ok(_) => {}
+            Err(ClientError::Closed) => break, // server already gone
+            Err(e) => panic!("{e}"),
         }
     }
-    control.abort.store(true, Ordering::Relaxed);
-    server.join().expect("server thread panicked").expect("server errored");
+    server.stop(true);
 
     // Restart over the same store; resubmit; the merged (store + fresh
     // simulation) document must equal the uninterrupted reference.
-    let opts2 = server_opts("conv-b", &store);
-    let socket2 = opts2.socket.clone();
-    let control2 = ServerControl::default();
-    let server2 = spawn_server(opts2, control2.clone());
-    let mut client2 = Client::connect(&socket2);
-    let t2 = client2.submit("fig2");
-    let recovered = client2.wait_and_fetch(t2);
+    let server2 = Running::start(server_opts("conv-b", &store));
+    let (_, recovered) = fig2(&mut server2.connect());
     assert_eq!(
         recovered, reference,
         "restart + resubmit must converge to the uninterrupted run's bytes"
     );
-    drain_and_join(&control2, server2);
+    server2.stop(false);
 
     let _ = std::fs::remove_dir_all(&store);
     let _ = std::fs::remove_dir_all(&ref_store);
@@ -276,56 +168,66 @@ fn abort_restart_resubmit_converges_to_the_uninterrupted_document() {
 #[test]
 fn two_servers_racing_one_store_agree_byte_for_byte() {
     let store = fresh_dir("race-store");
-    let opts_a = server_opts("race-a", &store);
-    let opts_b = server_opts("race-b", &store);
-    let (sock_a, sock_b) = (opts_a.socket.clone(), opts_b.socket.clone());
-    let (ctl_a, ctl_b) = (ServerControl::default(), ServerControl::default());
-    let server_a = spawn_server(opts_a, ctl_a.clone());
-    let server_b = spawn_server(opts_b, ctl_b.clone());
+    let server_a = Running::start(server_opts("race-a", &store));
+    let server_b = Running::start(server_opts("race-b", &store));
 
     // Submit the same grid to both servers concurrently: their store
     // writers race on the same directory, serialized per entry by the
     // lock files.
-    let worker = std::thread::spawn(move || {
-        let mut c = Client::connect(&sock_b);
-        let t = c.submit("fig2");
-        c.wait_and_fetch(t)
+    let (doc_a, doc_b) = std::thread::scope(|s| {
+        let b = s.spawn(|| fig2(&mut server_b.connect()).1);
+        let doc_a = fig2(&mut server_a.connect()).1;
+        (doc_a, b.join().expect("client thread panicked"))
     });
-    let mut c = Client::connect(&sock_a);
-    let t = c.submit("fig2");
-    let doc_a = c.wait_and_fetch(t);
-    let doc_b = worker.join().expect("client thread panicked");
     assert_eq!(doc_a, doc_b, "racing servers must agree on the document bytes");
 
-    drain_and_join(&ctl_a, server_a);
-    drain_and_join(&ctl_b, server_b);
+    server_a.stop(false);
+    server_b.stop(false);
     let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
 fn injected_client_disconnect_kills_the_connection_not_the_work() {
     let store = fresh_dir("disc-store");
-    let opts = ServerOptions {
+    let server = Running::start(ServerOptions {
         faults: FaultPlan::parse("disconnect@0").unwrap(),
         ..server_opts("disc", &store)
-    };
-    let socket = opts.socket.clone();
-    let control = ServerControl::default();
-    let server = spawn_server(opts, control.clone());
+    });
 
     // This client is forcibly disconnected while cell 0's event is being
     // streamed; the stream must end (EOF), not hang.
-    let mut doomed = Client::connect(&socket);
-    let ticket = doomed.submit("fig2");
+    let mut doomed = server.connect();
+    let ticket = doomed.submit("fig2").expect("submission accepted").ticket;
     // Drain events until the injected disconnect EOFs the stream.
-    while doomed.recv().is_some() {}
+    loop {
+        match doomed.recv() {
+            Ok(_) => {}
+            Err(ClientError::Closed) => break,
+            Err(e) => panic!("expected end of stream, got: {e}"),
+        }
+    }
 
     // The grid keeps running server-side; a fresh connection fetches the
     // complete document (polling through pending while it finishes).
-    let mut fresh = Client::connect(&socket);
-    let doc = fresh.fetch(ticket);
+    let doc = server.connect().fetch(ticket).expect("results document");
     assert!(doc.contains("\"cells\":"), "recovered document has cells: {doc}");
 
-    drain_and_join(&control, server);
+    server.stop(false);
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
+fn served_document_is_byte_identical_to_the_pool_document() {
+    let jobs = figures::fig2(&tiny_scale()).jobs;
+    let figures_of = vec![vec!["fig2".to_string()]; jobs.len()];
+    let report = run_jobs(&jobs, &RunOptions::serial());
+    let pooled = ResultsFile::from_report("fig2", 1, report, figures_of).stats_json();
+
+    let store = fresh_dir("pool-store");
+    let server = Running::start(server_opts("pool", &store));
+    let (_, doc) = fig2(&mut server.connect());
+    assert_eq!(doc, pooled, "the server must emit the pool's stats document byte for byte");
+
+    server.stop(false);
     let _ = std::fs::remove_dir_all(&store);
 }

@@ -13,7 +13,7 @@
 //! 2. a stall-attribution table — every warp-cycle of the run charged to
 //!    exactly one bucket (the accounting identity is asserted).
 
-use drs::harness::{run_method_with_warps_telemetry, Method};
+use drs::harness::{run_cell, CellConfig, Method};
 use drs::scene::SceneKind;
 use drs::sim::StallBucket;
 use drs::telemetry::TelemetryConfig;
@@ -36,12 +36,12 @@ fn main() {
     let scripts = &streams.bounce(2).scripts;
 
     let warps = 8;
-    let (out, report) = run_method_with_warps_telemetry(
-        Method::Aila,
-        warps,
+    let (out, report) = run_cell(
+        &CellConfig::new(Method::Aila, warps),
         scripts,
-        TelemetryConfig { interval: 2000, ..TelemetryConfig::default() },
+        Some(TelemetryConfig { interval: 2000, ..TelemetryConfig::default() }),
     );
+    let report = report.expect("telemetry was requested");
     report.check_identity().expect("every warp-cycle charged exactly once");
     let stats = out.expect("the stream completes within the safety cycle cap");
 
