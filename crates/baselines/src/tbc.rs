@@ -57,6 +57,23 @@ struct BlockState {
     last_compact: u64,
 }
 
+impl BlockState {
+    /// Round of the block's slowest live warp (0 once all are done).
+    fn min_round(&self) -> u64 {
+        self.rounds.iter().zip(&self.done).filter(|&(_, &d)| !d).map(|(&r, _)| r).min().unwrap_or(0)
+    }
+
+    /// Live warps held back by the round window.
+    fn held_back(&self) -> u64 {
+        let min_round = self.min_round();
+        self.rounds
+            .iter()
+            .zip(&self.done)
+            .filter(|&(&r, &d)| !d && r >= min_round + TbcUnit::ROUND_WINDOW)
+            .count() as u64
+    }
+}
+
 /// The TBC compaction unit.
 ///
 /// The block-wide reconvergence stack is modelled as *round lockstep with
@@ -68,6 +85,9 @@ struct BlockState {
 pub struct TbcUnit {
     cfg: TbcConfig,
     blocks: Vec<BlockState>,
+    /// Warps held back by the round window, summed over all blocks. Round
+    /// counters change only on a proceeding `rdctrl`, which refreshes it.
+    held_back: u64,
 }
 
 impl TbcUnit {
@@ -85,6 +105,7 @@ impl TbcUnit {
                     last_compact: 0,
                 })
                 .collect(),
+            held_back: 0,
         }
     }
 
@@ -139,14 +160,7 @@ impl SpecialUnit for TbcUnit {
         let idx = warp - self.cfg.block_warps(b).start;
         // Round lockstep: stall a warp that would run too far ahead of the
         // slowest live warp in its block.
-        let min_round = self.blocks[b]
-            .rounds
-            .iter()
-            .zip(self.blocks[b].done.iter())
-            .filter(|&(_, &d)| !d)
-            .map(|(&r, _)| r)
-            .min()
-            .unwrap_or(0);
+        let min_round = self.blocks[b].min_round();
         if self.blocks[b].rounds[idx] >= min_round + Self::ROUND_WINDOW {
             return SpecialOutcome::Stall;
         }
@@ -162,10 +176,12 @@ impl SpecialUnit for TbcUnit {
             (0..self.cfg.lanes).any(|l| m.slot_of(w, l).is_some_and(|s| m.slots[s].ray.is_some()))
         }) || !m.queue.is_empty();
         let ctrl = if ctrl == CTRL_EXIT && block_live { CTRL_TRAV_BOTH } else { ctrl };
+        let held_before = self.blocks[b].held_back();
         if ctrl == CTRL_EXIT {
             self.blocks[b].done[idx] = true;
         }
         self.blocks[b].rounds[idx] += 1;
+        self.held_back = self.held_back - held_before + self.blocks[b].held_back();
         SpecialOutcome::Proceed { ctrl }
     }
 
@@ -179,22 +195,7 @@ impl SpecialUnit for TbcUnit {
         let _ = m;
         // Synchronization accounting: a warp-cycle of waiting for every
         // warp currently held back by the round window.
-        for b in &self.blocks {
-            let min_round = b
-                .rounds
-                .iter()
-                .zip(b.done.iter())
-                .filter(|&(_, &d)| !d)
-                .map(|(&r, _)| r)
-                .min()
-                .unwrap_or(0);
-            stats.sync_wait_cycles += b
-                .rounds
-                .iter()
-                .zip(b.done.iter())
-                .filter(|&(&r, &d)| !d && r >= min_round + Self::ROUND_WINDOW)
-                .count() as u64;
-        }
+        stats.sync_wait_cycles += self.held_back;
     }
 
     fn next_event(&self, now: u64) -> Option<u64> {
@@ -203,25 +204,7 @@ impl SpecialUnit for TbcUnit {
         // issue, so the per-cycle accrual is constant across a no-issue
         // span. If any warp is accruing, the tick must run every cycle
         // (no skipping); otherwise the tick is a pure no-op.
-        let accruing = self.blocks.iter().any(|b| {
-            let min_round = b
-                .rounds
-                .iter()
-                .zip(b.done.iter())
-                .filter(|&(_, &d)| !d)
-                .map(|(&r, _)| r)
-                .min()
-                .unwrap_or(0);
-            b.rounds
-                .iter()
-                .zip(b.done.iter())
-                .any(|(&r, &d)| !d && r >= min_round + Self::ROUND_WINDOW)
-        });
-        if accruing {
-            Some(now)
-        } else {
-            None
-        }
+        (self.held_back > 0).then_some(now)
     }
 }
 

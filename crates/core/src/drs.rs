@@ -154,17 +154,23 @@ struct Transfer {
 /// .expect("completes");
 /// assert_eq!(out.rays_completed, 64);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DrsUnit {
     cfg: DrsConfig,
     /// Renaming table: warp → row.
     row_of_warp: Vec<usize>,
     /// Reverse map: row → bound warp.
     warp_of_row: Vec<Option<usize>>,
-    /// Ray-state table aggregated per row.
-    counts: Vec<RowSummary>,
-    /// Slots currently involved in a transfer (no execution, no re-plan).
-    slot_busy: Vec<bool>,
+    /// Ray-state table as per-row lane bitplanes: bit `l` of `inner[row]`
+    /// (`leaf[row]`) is set when slot `(row, l)` holds an inner-state
+    /// (leaf-state) ray. Every other slot of the row is a hole.
+    inner: Vec<u32>,
+    leaf: Vec<u32>,
+    /// Per row, the lanes whose slots are involved in a transfer (no
+    /// execution, no re-plan).
+    busy: Vec<u32>,
+    /// The `lanes` valid bits of a row bitplane.
+    lane_mask: u32,
     /// Active transfers (at most one per shuffle task).
     transfers: Vec<Transfer>,
     /// Warps currently stalled at `rdctrl` (their rows are register-
@@ -176,6 +182,20 @@ pub struct DrsUnit {
     /// per-kernel value derived by `drs-verify` shuffle liveness).
     ray_regs: u8,
     initialized: bool,
+    /// An input of [`DrsUnit::plan_transfers`] may have changed since the
+    /// last plan that started nothing (see DESIGN.md "Cheap stepped
+    /// cycles").
+    replan: bool,
+    /// Bumped on every event that can change an `rdctrl` decision other
+    /// than the queue draining: a transfer starting or finishing, a
+    /// rename, an ideal reshuffle.
+    generation: u64,
+    /// Per warp: `(generation, queue drained)` at its last `rdctrl` stall,
+    /// cleared when it proceeds. A retry under the same key stalls again.
+    stall_memo: Vec<Option<(u64, bool)>>,
+    /// Reusable copy of the engine's idle-bank ports, claimed as the
+    /// transfers take them.
+    idle: Vec<bool>,
 }
 
 impl DrsUnit {
@@ -195,13 +215,19 @@ impl DrsUnit {
             cfg,
             row_of_warp: (0..cfg.warps).collect(),
             warp_of_row: (0..rows).map(|r| (r < cfg.warps).then_some(r)).collect(),
-            counts: vec![RowSummary::default(); rows],
-            slot_busy: vec![false; rows * cfg.lanes],
+            inner: vec![0; rows],
+            leaf: vec![0; rows],
+            busy: vec![0; rows],
+            lane_mask: u32::MAX >> (32 - cfg.lanes),
             transfers: Vec::with_capacity(3),
             parked: vec![false; cfg.warps],
             leaf_collector: None,
             ray_regs,
             initialized: false,
+            replan: true,
+            generation: 0,
+            stall_memo: vec![None; cfg.warps],
+            idle: Vec::new(),
         }
     }
 
@@ -222,56 +248,51 @@ impl DrsUnit {
 
     /// Aggregated ray-state-table summary for `row`.
     pub fn row_summary(&self, row: usize) -> RowSummary {
-        self.counts[row]
+        let inner = self.inner[row].count_ones() as u16;
+        let leaf = self.leaf[row].count_ones() as u16;
+        RowSummary { no_ray: self.cfg.lanes as u16 - inner - leaf, inner, leaf }
     }
 
     fn slot_index(&self, row: usize, lane: usize) -> usize {
         row * self.cfg.lanes + lane
     }
 
-    /// Rebuild all row counts from the machine's state cache.
-    fn rebuild_counts(&mut self, m: &MachineState<'_>) {
-        for row in 0..self.cfg.rows() {
-            let mut s = RowSummary::default();
-            for lane in 0..self.cfg.lanes {
-                match m.state_cache[self.slot_index(row, lane)] {
-                    RayState::Inner => s.inner += 1,
-                    RayState::Leaf => s.leaf += 1,
-                    _ => s.no_ray += 1,
-                }
-            }
-            self.counts[row] = s;
+    /// Record `state` for `slot` in the row bitplanes.
+    fn set_slot(&mut self, slot: usize, state: RayState) {
+        let (row, bit) = (slot / self.cfg.lanes, 1u32 << (slot % self.cfg.lanes));
+        self.inner[row] &= !bit;
+        self.leaf[row] &= !bit;
+        match state {
+            RayState::Inner => self.inner[row] |= bit,
+            RayState::Leaf => self.leaf[row] |= bit,
+            _ => {}
         }
     }
 
-    /// Drain the machine's dirty-slot log into the row counts.
+    /// Load the row bitplanes from the machine's state cache (first use).
+    fn initialize(&mut self, m: &MachineState<'_>) {
+        for slot in 0..self.cfg.rows() * self.cfg.lanes {
+            self.set_slot(slot, m.state_cache[slot]);
+        }
+        self.initialized = true;
+        self.replan = true;
+    }
+
+    /// Drain the machine's dirty-slot log into the row bitplanes.
     fn drain_dirty(&mut self, m: &mut MachineState<'_>) {
-        if m.dirty.is_empty() {
-            return;
-        }
-        let dirty = std::mem::take(&mut m.dirty);
-        let mut touched: Vec<u32> = dirty;
-        touched.sort_unstable();
-        touched.dedup();
-        let mut rows: Vec<usize> = touched.iter().map(|&s| s as usize / self.cfg.lanes).collect();
-        rows.sort_unstable();
-        rows.dedup();
-        for row in rows {
-            let mut s = RowSummary::default();
-            for lane in 0..self.cfg.lanes {
-                match m.state_cache[self.slot_index(row, lane)] {
-                    RayState::Inner => s.inner += 1,
-                    RayState::Leaf => s.leaf += 1,
-                    _ => s.no_ray += 1,
-                }
+        for &slot in &m.dirty {
+            let slot = slot as usize;
+            self.set_slot(slot, m.state_cache[slot]);
+            if self.row_shufflable(slot / self.cfg.lanes) {
+                self.replan = true;
             }
-            self.counts[row] = s;
         }
+        m.dirty.clear();
     }
 
     /// Control value for a row the warp will work on.
     fn ctrl_for(&self, row: usize, m: &MachineState<'_>) -> Option<u32> {
-        match self.counts[row].uniform_state()? {
+        match self.row_summary(row).uniform_state()? {
             RayState::Inner => Some(CTRL_TRAV_INNER),
             RayState::Leaf => Some(CTRL_TRAV_LEAF),
             RayState::Fetching => {
@@ -288,7 +309,7 @@ impl DrsUnit {
     /// How much useful SIMD work a row offers a warp right now: the number
     /// of lanes that would be active in its if-body. Mixed rows score 0.
     fn row_score(&self, row: usize, m: &MachineState<'_>) -> u32 {
-        let s = self.counts[row];
+        let s = self.row_summary(row);
         match s.uniform_state() {
             Some(RayState::Inner | RayState::Leaf) => s.rays() as u32,
             Some(RayState::Fetching) if !m.queue.is_empty() => {
@@ -304,7 +325,7 @@ impl DrsUnit {
     /// the paper's operating point: warps stall rather than run partially
     /// occupied rows, and the swap engine keeps manufacturing full rows.
     fn strict_ctrl(&self, row: usize, m: &MachineState<'_>) -> Option<u32> {
-        let c = self.counts[row];
+        let c = self.row_summary(row);
         // Tolerate a bounded number of holes: insisting on completely full
         // rows would demand more shuffle bandwidth than the swap buffers
         // provide, while a 3/4-occupied uniform row still issues its
@@ -342,8 +363,7 @@ impl DrsUnit {
     }
 
     fn row_has_busy_slot(&self, row: usize) -> bool {
-        let base = row * self.cfg.lanes;
-        self.slot_busy[base..base + self.cfg.lanes].iter().any(|&b| b)
+        self.busy[row] != 0
     }
 
     /// A row may be shuffled when it is unbound, or bound to a warp that is
@@ -355,12 +375,21 @@ impl DrsUnit {
         }
     }
 
+    fn set_parked(&mut self, warp: usize, parked: bool) {
+        if self.parked[warp] != parked {
+            self.parked[warp] = parked;
+            self.replan = true;
+        }
+    }
+
     /// Move a warp's binding to `row`.
     fn rename(&mut self, warp: usize, row: usize) {
         let old = self.row_of_warp[warp];
         self.warp_of_row[old] = None;
         self.warp_of_row[row] = Some(warp);
         self.row_of_warp[warp] = row;
+        self.generation += 1;
+        self.replan = true;
     }
 
     /// Update the lane→slot map so `warp` addresses `row`'s slots.
@@ -376,7 +405,7 @@ impl DrsUnit {
         if !m.queue.is_empty() {
             return false;
         }
-        if self.counts[self.row_of_warp[warp]].rays() > 0 {
+        if self.row_summary(self.row_of_warp[warp]).rays() > 0 {
             return false;
         }
         if !self.transfers.is_empty() {
@@ -384,7 +413,7 @@ impl DrsUnit {
         }
         (0..self.cfg.rows())
             .filter(|&r| self.warp_of_row[r].is_none())
-            .all(|r| self.counts[r].rays() == 0)
+            .all(|r| self.row_summary(r).rays() == 0)
     }
 
     /// Idealized shuffling: instantly gather rays of one state from unbound
@@ -393,12 +422,12 @@ impl DrsUnit {
         let row = self.row_of_warp[warp];
         // Choose the state with the most available rays among this row and
         // all unbound rows.
-        let mut avail_inner = self.counts[row].inner as u32;
-        let mut avail_leaf = self.counts[row].leaf as u32;
+        let mut avail_inner = self.row_summary(row).inner as u32;
+        let mut avail_leaf = self.row_summary(row).leaf as u32;
         for r in 0..self.cfg.rows() {
             if self.warp_of_row[r].is_none() {
-                avail_inner += self.counts[r].inner as u32;
-                avail_leaf += self.counts[r].leaf as u32;
+                avail_inner += self.row_summary(r).inner as u32;
+                avail_leaf += self.row_summary(r).leaf as u32;
             }
         }
         let want = if avail_inner >= avail_leaf { RayState::Inner } else { RayState::Leaf };
@@ -408,6 +437,7 @@ impl DrsUnit {
         }
         // Evict non-matching rays from the warp's row into unbound holes,
         // then pull matching rays in. Zero cost (ideal).
+        self.generation += 1;
         let lanes = self.cfg.lanes;
         let unbound: Vec<usize> =
             (0..self.cfg.rows()).filter(|&r| self.warp_of_row[r].is_none()).collect();
@@ -432,8 +462,9 @@ impl DrsUnit {
             let Some(src) = donor else { break };
             m.slots.swap(dst, src);
             m.state_cache.swap(dst, src);
+            self.set_slot(dst, m.state_cache[dst]);
+            self.set_slot(src, m.state_cache[src]);
         }
-        self.rebuild_counts(m);
         Some(want_ctrl)
     }
 
@@ -448,21 +479,12 @@ impl DrsUnit {
         let (src, dst) = (t.src_slot as usize, t.dst_slot as usize);
         m.slots.swap(src, dst);
         m.state_cache.swap(src, dst);
-        self.slot_busy[src] = false;
-        self.slot_busy[dst] = false;
-        // Update both rows' counts.
         for slot in [src, dst] {
-            let row = slot / self.cfg.lanes;
-            let mut s = RowSummary::default();
-            for lane in 0..self.cfg.lanes {
-                match m.state_cache[self.slot_index(row, lane)] {
-                    RayState::Inner => s.inner += 1,
-                    RayState::Leaf => s.leaf += 1,
-                    _ => s.no_ray += 1,
-                }
-            }
-            self.counts[row] = s;
+            self.set_slot(slot, m.state_cache[slot]);
+            self.busy[slot / self.cfg.lanes] &= !(1 << (slot % self.cfg.lanes));
         }
+        self.generation += 1;
+        self.replan = true;
         stats.swaps_completed += 1;
         stats.swap_cycle_sum += now.saturating_sub(t.start_cycle);
     }
@@ -471,7 +493,7 @@ impl DrsUnit {
     /// shufflable row accumulating leaf-state rays until it is leaf-full.
     fn refresh_leaf_collector(&mut self) {
         if let Some(r) = self.leaf_collector {
-            let c = self.counts[r];
+            let c = self.row_summary(r);
             let full_leaf = c.inner == 0 && c.no_ray == 0;
             if self.row_shufflable(r) && !full_leaf && c.rays() > 0 {
                 return; // still serving
@@ -485,7 +507,7 @@ impl DrsUnit {
             if !self.row_shufflable(r) {
                 continue;
             }
-            let c = self.counts[r];
+            let c = self.row_summary(r);
             if c.leaf == 0 || (c.inner == 0 && c.no_ray == 0) {
                 continue;
             }
@@ -512,7 +534,12 @@ impl DrsUnit {
     /// outside the collector + inner rays inside it; inner rays in
     /// inner-minority rows; the count of non-empty sparse rows), so
     /// shuffling always converges.
+    ///
+    /// A plan that starts nothing leaves every one of its inputs as it
+    /// found them (the leaf-collector refresh is idempotent), so the unit
+    /// plans again only once `replan` is set by an input change.
     fn plan_transfers(&mut self, now: u64, m: &MachineState<'_>) {
+        self.replan = false;
         let max_tasks = 3;
         if self.transfers.len() >= max_tasks {
             return;
@@ -522,30 +549,31 @@ impl DrsUnit {
 
         // Task 1: leaf collection.
         if let Some(col) = self.leaf_collector {
-            'srcs: for r in 0..rows {
+            for r in 0..rows {
                 if self.transfers.len() >= max_tasks {
                     return;
                 }
                 if r == col || !self.row_shufflable(r) {
                     continue;
                 }
-                let c = self.counts[r];
+                let c = self.row_summary(r);
                 if c.leaf == 0 || c.inner == 0 {
                     continue; // only drain state-mixed rows
                 }
-                let Some(src) = self.find_slot(r, m, |s| m.state_cache[s] == RayState::Leaf) else {
+                let Some(src) = self.find_state(r, RayState::Leaf) else {
                     continue;
                 };
                 // Collector hole, else exchange for a collector inner ray.
-                let (dst, regs) = if self.counts[col].no_ray > 0 {
-                    match self.find_slot(col, m, |s| m.slots[s].ray.is_none()) {
+                let cc = self.row_summary(col);
+                let (dst, regs) = if cc.no_ray > 0 {
+                    match self.find_hole(col, m) {
                         Some(h) => (h, self.ray_regs),
-                        None => continue 'srcs,
+                        None => continue,
                     }
-                } else if self.counts[col].inner > 0 {
-                    match self.find_slot(col, m, |s| m.state_cache[s] == RayState::Inner) {
+                } else if cc.inner > 0 {
+                    match self.find_state(col, RayState::Inner) {
                         Some(x) => (x, 2 * self.ray_regs),
-                        None => continue 'srcs,
+                        None => continue,
                     }
                 } else {
                     break; // collector is already leaf-complete
@@ -566,12 +594,12 @@ impl DrsUnit {
             if !self.row_shufflable(r) {
                 continue;
             }
-            let c = self.counts[r];
+            let c = self.row_summary(r);
             if c.inner == 0 || c.leaf == 0 {
                 continue;
             }
             let eject = if c.inner <= c.leaf { RayState::Inner } else { RayState::Leaf };
-            let Some(src) = self.find_slot(r, m, |s| m.state_cache[s] == eject) else {
+            let Some(src) = self.find_state(r, eject) else {
                 continue;
             };
             // A hole in a state-compatible row (covers the empty rows).
@@ -580,13 +608,13 @@ impl DrsUnit {
                 if d == r || Some(d) == self.leaf_collector || !self.row_shufflable(d) {
                     continue;
                 }
-                let dc = self.counts[d];
+                let dc = self.row_summary(d);
                 let compatible = match eject {
                     RayState::Inner => dc.leaf == 0,
                     _ => dc.inner == 0,
                 };
                 if compatible && dc.no_ray > 0 {
-                    if let Some(h) = self.find_slot(d, m, |s| m.slots[s].ray.is_none()) {
+                    if let Some(h) = self.find_hole(d, m) {
                         dst = Some(h);
                         break;
                     }
@@ -607,12 +635,12 @@ impl DrsUnit {
             if Some(r) == self.leaf_collector || !self.row_shufflable(r) {
                 continue;
             }
-            let c = self.counts[r];
+            let c = self.row_summary(r);
             if c.rays() == 0 || c.no_ray == 0 || (c.inner > 0 && c.leaf > 0) {
                 continue; // only sparse uniform rows
             }
             let state = if c.inner > 0 { RayState::Inner } else { RayState::Leaf };
-            let Some(src) = self.find_slot(r, m, |s| m.state_cache[s] == state) else {
+            let Some(src) = self.find_state(r, state) else {
                 continue;
             };
             let mut dst = None;
@@ -620,13 +648,13 @@ impl DrsUnit {
                 if d == r || Some(d) == self.leaf_collector || !self.row_shufflable(d) {
                     continue;
                 }
-                let dc = self.counts[d];
+                let dc = self.row_summary(d);
                 let compatible = match state {
                     RayState::Inner => dc.leaf == 0,
                     _ => dc.inner == 0,
                 };
                 if compatible && dc.no_ray > 0 && dc.rays() > c.rays() {
-                    if let Some(h) = self.find_slot(d, m, |s| m.slots[s].ray.is_none()) {
+                    if let Some(h) = self.find_hole(d, m) {
                         dst = Some(h);
                         break;
                     }
@@ -638,22 +666,36 @@ impl DrsUnit {
         }
     }
 
-    /// First non-busy slot of `row` satisfying `pred`.
-    fn find_slot(
-        &self,
-        row: usize,
-        m: &MachineState<'_>,
-        pred: impl Fn(usize) -> bool,
-    ) -> Option<usize> {
-        let _ = m;
-        (0..self.cfg.lanes)
-            .map(|l| self.slot_index(row, l))
-            .find(|&s| !self.slot_busy[s] && pred(s))
+    /// First non-busy slot of `row` holding a ray in `state` (inner or
+    /// leaf).
+    fn find_state(&self, row: usize, state: RayState) -> Option<usize> {
+        let plane = match state {
+            RayState::Inner => self.inner[row],
+            _ => self.leaf[row],
+        };
+        let free = plane & !self.busy[row];
+        (free != 0).then(|| self.slot_index(row, free.trailing_zeros() as usize))
+    }
+
+    /// First non-busy slot of `row` with no resident ray.
+    fn find_hole(&self, row: usize, m: &MachineState<'_>) -> Option<usize> {
+        let mut free = self.lane_mask & !self.busy[row];
+        while free != 0 {
+            let s = self.slot_index(row, free.trailing_zeros() as usize);
+            if m.slots[s].ray.is_none() {
+                return Some(s);
+            }
+            free &= free - 1;
+        }
+        None
     }
 
     fn push_transfer(&mut self, src: usize, dst: usize, total_regs: u8, now: u64) {
-        self.slot_busy[src] = true;
-        self.slot_busy[dst] = true;
+        for slot in [src, dst] {
+            self.busy[slot / self.cfg.lanes] |= 1 << (slot % self.cfg.lanes);
+        }
+        self.generation += 1;
+        self.replan = true;
         self.transfers.push(Transfer {
             src_slot: src as u32,
             dst_slot: dst as u32,
@@ -664,29 +706,17 @@ impl DrsUnit {
             start_cycle: now,
         });
     }
-}
 
-impl SpecialUnit for DrsUnit {
-    fn issue(
-        &mut self,
-        warp: usize,
-        token: u16,
-        m: &mut MachineState<'_>,
-        stats: &mut SimStats,
-    ) -> SpecialOutcome {
-        debug_assert_eq!(token, TOKEN_RDCTRL);
-        if !self.initialized {
-            self.rebuild_counts(m);
-            self.initialized = true;
-        }
-        self.drain_dirty(m);
+    /// The full `rdctrl` decision for `warp` against the current tables.
+    /// Its stall path mutates nothing but `parked[warp]`.
+    fn decide(&mut self, warp: usize, m: &mut MachineState<'_>) -> SpecialOutcome {
         let row = self.row_of_warp[warp];
         let cur_busy = self.row_has_busy_slot(row);
         // Strict path: a full uniform (or refillable-empty) current row
         // proceeds immediately.
         if !cur_busy {
             if let Some(ctrl) = self.strict_ctrl(row, m) {
-                self.parked[warp] = false;
+                self.set_parked(warp, false);
                 self.map_warp_to_row(warp, row, m);
                 return SpecialOutcome::Proceed { ctrl };
             }
@@ -697,7 +727,7 @@ impl SpecialUnit for DrsUnit {
                 continue;
             }
             if let Some(ctrl) = self.strict_ctrl(r, m) {
-                self.parked[warp] = false;
+                self.set_parked(warp, false);
                 self.rename(warp, r);
                 self.map_warp_to_row(warp, r, m);
                 return SpecialOutcome::Proceed { ctrl };
@@ -710,7 +740,7 @@ impl SpecialUnit for DrsUnit {
         let best = if m.queue.is_empty() { self.best_free_row(m) } else { None };
         if cur_score > 0 && best.is_none_or(|(_, s)| s <= cur_score) {
             if let Some(ctrl) = self.ctrl_for(row, m) {
-                self.parked[warp] = false;
+                self.set_parked(warp, false);
                 self.map_warp_to_row(warp, row, m);
                 return SpecialOutcome::Proceed { ctrl };
             }
@@ -718,33 +748,65 @@ impl SpecialUnit for DrsUnit {
         if self.cfg.ideal {
             if let Some(ctrl) = self.ideal_reshuffle(warp, m) {
                 let row = self.row_of_warp[warp];
-                self.parked[warp] = false;
+                self.set_parked(warp, false);
                 self.map_warp_to_row(warp, row, m);
                 return SpecialOutcome::Proceed { ctrl };
             }
             if self.no_work_left(warp, m) {
-                self.parked[warp] = false;
+                self.set_parked(warp, false);
                 return SpecialOutcome::Proceed { ctrl: CTRL_EXIT };
             }
-            self.parked[warp] = true;
+            self.set_parked(warp, true);
             return SpecialOutcome::Stall;
         }
         // Relaxed rename (drain phase only).
         if let Some((new_row, _)) = best {
             if let Some(ctrl) = self.ctrl_for(new_row, m) {
-                self.parked[warp] = false;
+                self.set_parked(warp, false);
                 self.rename(warp, new_row);
                 self.map_warp_to_row(warp, new_row, m);
                 return SpecialOutcome::Proceed { ctrl };
             }
         }
         if self.no_work_left(warp, m) {
-            self.parked[warp] = false;
+            self.set_parked(warp, false);
             return SpecialOutcome::Proceed { ctrl: CTRL_EXIT };
         }
-        let _ = stats;
-        self.parked[warp] = true;
+        self.set_parked(warp, true);
         SpecialOutcome::Stall
+    }
+}
+
+impl SpecialUnit for DrsUnit {
+    fn issue(
+        &mut self,
+        warp: usize,
+        token: u16,
+        m: &mut MachineState<'_>,
+        _stats: &mut SimStats,
+    ) -> SpecialOutcome {
+        debug_assert_eq!(token, TOKEN_RDCTRL);
+        if !self.initialized {
+            self.initialize(m);
+        }
+        self.drain_dirty(m);
+        // A stalled warp's decision reads only its own row (parked, so
+        // changed by transfers alone), the unbound rows (changed by
+        // transfers and renames), the busy slots and transfer list, and
+        // whether the queue has drained. Every event that can change those
+        // bumps `generation`, so a retry under the same key stalls again.
+        let key = (self.generation, m.queue.is_empty());
+        if self.stall_memo[warp] == Some(key) {
+            debug_assert_eq!(
+                self.decide(warp, m),
+                SpecialOutcome::Stall,
+                "memoized rdctrl stall of warp {warp} is stale"
+            );
+            return SpecialOutcome::Stall;
+        }
+        let outcome = self.decide(warp, m);
+        self.stall_memo[warp] = (outcome == SpecialOutcome::Stall).then_some(key);
+        outcome
     }
 
     fn tick(
@@ -758,58 +820,65 @@ impl SpecialUnit for DrsUnit {
             return;
         }
         if !self.initialized {
-            self.rebuild_counts(m);
-            self.initialized = true;
+            self.initialize(m);
         }
         self.drain_dirty(m);
-        // Progress active transfers through idle bank ports.
-        let mut idle: Vec<bool> = idle_banks.to_vec();
-        let nbanks = idle.len().max(1);
-        let bpt = self.cfg.buffers_per_task() as u8;
-        let mut done: Vec<usize> = Vec::new();
-        for (ti, t) in self.transfers.iter_mut().enumerate() {
-            let regs = t.total_regs;
-            // Writes first: registers read in earlier cycles drain to the
-            // destination row's banks.
-            while t.writes < t.writable {
-                let bank = (t.dst_slot as usize / 32 + t.writes as usize) % nbanks;
-                if !idle[bank] {
-                    break;
+        if !self.transfers.is_empty() {
+            // Progress active transfers through idle bank ports.
+            self.idle.clear();
+            self.idle.extend_from_slice(idle_banks);
+            let idle = &mut self.idle;
+            let nbanks = idle.len().max(1);
+            let bpt = self.cfg.buffers_per_task() as u8;
+            for t in &mut self.transfers {
+                let regs = t.total_regs;
+                // Writes first: registers read in earlier cycles drain to
+                // the destination row's banks.
+                while t.writes < t.writable {
+                    let bank = (t.dst_slot as usize / 32 + t.writes as usize) % nbanks;
+                    if !idle[bank] {
+                        break;
+                    }
+                    idle[bank] = false;
+                    t.writes += 1;
+                    stats.swap_accesses += 1;
                 }
-                idle[bank] = false;
-                t.writes += 1;
-                stats.swap_accesses += 1;
-            }
-            // Reads limited by buffer capacity (reads in flight ≤ bpt).
-            while t.reads < regs && t.reads - t.writes < bpt {
-                let bank = (t.src_slot as usize / 32 + t.reads as usize) % nbanks;
-                if !idle[bank] {
-                    break;
+                // Reads limited by buffer capacity (reads in flight ≤ bpt).
+                while t.reads < regs && t.reads - t.writes < bpt {
+                    let bank = (t.src_slot as usize / 32 + t.reads as usize) % nbanks;
+                    if !idle[bank] {
+                        break;
+                    }
+                    idle[bank] = false;
+                    t.reads += 1;
+                    stats.swap_accesses += 1;
                 }
-                idle[bank] = false;
-                t.reads += 1;
-                stats.swap_accesses += 1;
+                t.writable = t.reads;
             }
-            t.writable = t.reads;
-            if t.writes == regs {
-                done.push(ti);
+            // Completed transfers move disjoint slots, so the order they
+            // finalize in is immaterial.
+            let mut i = 0;
+            while i < self.transfers.len() {
+                if self.transfers[i].writes == self.transfers[i].total_regs {
+                    let t = self.transfers.remove(i);
+                    self.finalize_transfer(t, cycle + 1, m, stats);
+                } else {
+                    i += 1;
+                }
             }
         }
-        for &ti in done.iter().rev() {
-            let t = self.transfers.remove(ti);
-            self.finalize_transfer(t, cycle + 1, m, stats);
+        if self.replan {
+            self.plan_transfers(cycle, m);
         }
-        self.plan_transfers(cycle, m);
     }
 
     fn next_event(&self, now: u64) -> Option<u64> {
         // Ideal DRS never ticks; real DRS is quiescent once no transfers
         // are in flight: with no issues in between, the dirty queue stays
-        // drained, `plan_transfers` re-evaluates the identical machine
-        // state and plans nothing, and the leaf-collector refresh is at a
-        // fixed point — so every tick until the next issue is a pure
-        // no-op. Before the first tick the unit still has to initialize,
-        // so it pins the engine to the current cycle.
+        // drained and `replan` stays clear (the last plan started nothing),
+        // so every tick until the next issue is a pure no-op. Before the
+        // first tick the unit still has to initialize, so it pins the
+        // engine to the current cycle.
         if self.cfg.ideal {
             return None;
         }
@@ -1122,6 +1191,162 @@ mod policy_tests {
         }
         assert!(proceeded, "swap engine never produced a usable row");
         assert!(stats.swaps_completed > 0);
+    }
+
+    /// Scripts of one-step rays that start in the given states, fetched in
+    /// this order.
+    fn rays(states: &[RayState]) -> Vec<RayScript> {
+        states
+            .iter()
+            .enumerate()
+            .map(|(i, state)| {
+                let step = match state {
+                    RayState::Inner => {
+                        Step::Inner { node_addr: 0x1000 + i as u64 * 64, both_children_hit: false }
+                    }
+                    _ => Step::Leaf {
+                        node_addr: 0x2000 + i as u64 * 64,
+                        prim_base_addr: 0x4000,
+                        prim_count: 1,
+                    },
+                };
+                RayScript::new(vec![step], Termination::Escaped)
+            })
+            .collect()
+    }
+
+    /// Fetch the next queued rays into the `(row, lane)` slots, in order.
+    fn fill(m: &mut MachineState<'_>, slots: impl IntoIterator<Item = (usize, usize)>) {
+        for (row, lane) in slots {
+            assert!(m.fetch_into(row * LANES + lane), "queue ran dry");
+        }
+    }
+
+    /// The answer of the full decision path: a copy of `unit` with no stall
+    /// memo. The copy drains nothing the real unit still has to see.
+    fn full_path(unit: &DrsUnit, warp: usize, m: &mut MachineState<'_>) -> SpecialOutcome {
+        let mut fresh = unit.clone();
+        fresh.stall_memo.fill(None);
+        let dirty = m.dirty.clone();
+        let outcome = fresh.issue(warp, 0, m, &mut drs_sim::SimStats::default());
+        m.dirty = dirty;
+        outcome
+    }
+
+    fn memo_live(unit: &DrsUnit, warp: usize, m: &MachineState<'_>) -> bool {
+        unit.stall_memo[warp] == Some((unit.generation, m.queue.is_empty()))
+    }
+
+    #[test]
+    fn transfer_finishing_into_the_row_ends_a_memoized_stall() {
+        // Warp 0's row holds 7 inner rays and 1 leaf ray, and the queue is
+        // drained: it stalls until the swap engine ejects the leaf ray.
+        use RayState::{Inner, Leaf};
+        let s = rays(&[Inner, Inner, Inner, Inner, Inner, Inner, Inner, Leaf]);
+        let (mut unit, mut m) = unit_and_machine(&s, 1, 1);
+        fill(&mut m, (0..LANES).map(|l| (0, l)));
+        let mut stats = drs_sim::SimStats::default();
+        assert_eq!(unit.issue(0, 0, &mut m, &mut stats), SpecialOutcome::Stall);
+        let idle = vec![true; 32];
+        let mut memo_hits = 0;
+        for cycle in 0..500u64 {
+            let swaps = stats.swaps_completed;
+            unit.tick(cycle, &idle, &mut m, &mut stats);
+            let live = memo_live(&unit, 0, &m);
+            let expect = full_path(&unit, 0, &mut m);
+            let got = unit.issue(0, 0, &mut m, &mut stats);
+            assert_eq!(got, expect, "cycle {cycle}: the retry must give the full path's answer");
+            if stats.swaps_completed == swaps {
+                assert_eq!(got, SpecialOutcome::Stall);
+                memo_hits += live as u32;
+                continue;
+            }
+            assert!(!live, "a finished transfer must invalidate the memo");
+            assert_eq!(got, SpecialOutcome::Proceed { ctrl: drs_kernels::CTRL_TRAV_INNER });
+            assert!(memo_hits > 0, "retries during the transfer are answered from the memo");
+            return;
+        }
+        panic!("the ejection never finished");
+    }
+
+    #[test]
+    fn a_row_left_unbound_by_a_rename_reaches_a_memoized_stall() {
+        // Rows: 0 (warp 0) empty, 1 (warp 1) 5 inner, 2 (unbound) 6 leaf
+        // + 1 inner + 1 hole, 3 and 4 empty. Queue drained, so warp 0
+        // stalls. The swap engine ejects row 2's inner ray, warp 1 renames
+        // onto the now leaf-uniform row 2, and warp 0's retry must find the
+        // 5-inner row 1 that warp 1 left unbound.
+        use RayState::{Inner, Leaf};
+        let mut kinds = vec![Inner; 5];
+        kinds.extend([Leaf; 6]);
+        kinds.push(Inner);
+        let s = rays(&kinds);
+        let (mut unit, mut m) = unit_and_machine(&s, 2, 1);
+        fill(&mut m, (0..5).map(|l| (1, l)).chain((0..7).map(|l| (2, l))));
+        let mut stats = drs_sim::SimStats::default();
+        assert_eq!(unit.issue(0, 0, &mut m, &mut stats), SpecialOutcome::Stall);
+        let idle = vec![true; 32];
+        let mut cycle = 0;
+        while stats.swaps_completed == 0 {
+            assert!(cycle < 500, "the ejection never finished");
+            unit.tick(cycle, &idle, &mut m, &mut stats);
+            cycle += 1;
+            if stats.swaps_completed == 0 {
+                let expect = full_path(&unit, 0, &mut m);
+                assert_eq!(unit.issue(0, 0, &mut m, &mut stats), expect);
+                assert_eq!(expect, SpecialOutcome::Stall);
+            }
+        }
+        let generation = unit.generation;
+        assert_eq!(
+            unit.issue(1, 0, &mut m, &mut stats),
+            SpecialOutcome::Proceed { ctrl: drs_kernels::CTRL_TRAV_LEAF }
+        );
+        assert_eq!(unit.row_of(1), 2, "warp 1 renamed onto the leaf-uniform row");
+        assert!(unit.generation > generation, "a rename bumps the generation");
+        assert!(!memo_live(&unit, 0, &m));
+        let expect = full_path(&unit, 0, &mut m);
+        let got = unit.issue(0, 0, &mut m, &mut stats);
+        assert_eq!(got, expect);
+        assert_eq!(got, SpecialOutcome::Proceed { ctrl: drs_kernels::CTRL_TRAV_INNER });
+        assert_eq!(unit.row_of(0), 1, "warp 0 renamed onto the row warp 1 left");
+    }
+
+    #[test]
+    fn queue_draining_ends_a_memoized_stall() {
+        // Warp 0's row holds 5 inner rays (below the strict 6-of-8), the
+        // unbound rows are mixed and two rays are still queued: only
+        // strict rows are acceptable, so warp 0 stalls. Once warp 1
+        // fetches the last rays the relaxed path lets warp 0 run its own
+        // row, with no transfer or rename in between.
+        use RayState::{Inner, Leaf};
+        let mut kinds = vec![Inner; 5];
+        for _ in 2..5 {
+            kinds.extend([Inner, Leaf]);
+        }
+        kinds.extend([Inner, Inner]);
+        let s = rays(&kinds);
+        let (mut unit, mut m) = unit_and_machine(&s, 2, 1);
+        fill(&mut m, (0..5).map(|l| (0, l)).chain((2..5).flat_map(|r| [(r, 0), (r, 1)])));
+        assert_eq!(m.queue.remaining(), 2);
+        let mut stats = drs_sim::SimStats::default();
+        assert_eq!(unit.issue(0, 0, &mut m, &mut stats), SpecialOutcome::Stall);
+        assert!(memo_live(&unit, 0, &m));
+        assert_eq!(unit.issue(0, 0, &mut m, &mut stats), SpecialOutcome::Stall);
+        let generation = unit.generation;
+        assert_eq!(
+            unit.issue(1, 0, &mut m, &mut stats),
+            SpecialOutcome::Proceed { ctrl: drs_kernels::CTRL_FETCH }
+        );
+        fill(&mut m, [(1, 0), (1, 1)]);
+        assert!(m.queue.is_empty());
+        assert_eq!(unit.generation, generation, "only the queue changed");
+        assert!(!memo_live(&unit, 0, &m));
+        let expect = full_path(&unit, 0, &mut m);
+        let got = unit.issue(0, 0, &mut m, &mut stats);
+        assert_eq!(got, expect);
+        assert_eq!(got, SpecialOutcome::Proceed { ctrl: drs_kernels::CTRL_TRAV_INNER });
+        assert_eq!(unit.row_of(0), 0);
     }
 
     #[test]

@@ -46,6 +46,8 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
+    /// `config.sets()`, fixed at construction (read on every access).
+    sets: u64,
     /// `sets × ways` tags; `u64::MAX` = invalid. LRU order kept per set via
     /// a parallel timestamp array.
     tags: Vec<u64>,
@@ -61,6 +63,7 @@ impl Cache {
         let n = config.sets() * config.ways;
         Cache {
             config,
+            sets: config.sets() as u64,
             tags: vec![u64::MAX; n],
             stamps: vec![0; n],
             tick: 0,
@@ -81,8 +84,7 @@ impl Cache {
     /// attribute evictions to the SM whose line was displaced.
     pub fn access_probed(&mut self, line_addr: u64) -> (bool, Option<u64>) {
         self.tick += 1;
-        let sets = self.config.sets() as u64;
-        let set = (line_addr / self.config.line_bytes as u64 % sets) as usize;
+        let set = (line_addr / self.config.line_bytes as u64 % self.sets) as usize;
         let base = set * self.config.ways;
         let ways = &mut self.tags[base..base + self.config.ways];
         if let Some(w) = ways.iter().position(|&t| t == line_addr) {

@@ -223,6 +223,19 @@ pub struct Simulation<'w> {
     mem: MemoryHierarchy,
     banks: RegisterBanks,
     warps: Vec<WarpTiming>,
+    /// Dense per-warp wake table, the only per-warp state the schedulers
+    /// read: warp `w` cannot issue before cycle `wake[w]` (`u64::MAX` once
+    /// it has exited). An entry is the max of the warp's `blocked_until`
+    /// and, after a failed scoreboard check, the cycle its next op's
+    /// operands become ready. Only the warp's own issue and
+    /// [`Simulation::chip_complete`] may lower it.
+    wake: Vec<u64>,
+    /// Warps that have not exited yet.
+    live_warps: usize,
+    /// Instructions one scheduler may issue from a warp per cycle.
+    issue_limit: usize,
+    /// Warps owned by each scheduler.
+    sched_warps: Vec<usize>,
     stats: SimStats,
     /// Per-block (issues, active_sum) counters.
     block_counters: Vec<(u64, u64)>,
@@ -255,7 +268,6 @@ pub struct Simulation<'w> {
     /// Stall-attribution state; `Some` iff a sink is attached.
     attr: Option<Attribution>,
     /// Full active mask for the configured lane count.
-    #[cfg(feature = "validate")]
     full_mask: u32,
     /// Statically derived worst-case SIMT-stack depth (entries), when the
     /// caller ran the verifier; every divergence push is checked against it.
@@ -319,7 +331,12 @@ impl<'w> Simulation<'w> {
         let mem = MemoryHierarchy::new(&cfg);
         let banks = RegisterBanks::new(cfg.register_banks);
         let sched_current = (0..cfg.warp_schedulers).collect();
+        let sched_warps = (0..cfg.warp_schedulers)
+            .map(|s| cfg.max_warps.saturating_sub(s).div_ceil(cfg.warp_schedulers))
+            .collect();
         let block_counters = vec![(0, 0); program.blocks().len()];
+        let issue_limit = cfg.issues_per_scheduler();
+        let live_warps = cfg.max_warps;
         Simulation {
             cfg,
             program,
@@ -328,6 +345,10 @@ impl<'w> Simulation<'w> {
             machine,
             mem,
             banks,
+            wake: vec![0; live_warps],
+            live_warps,
+            issue_limit,
+            sched_warps,
             warps,
             stats: SimStats::default(),
             block_counters,
@@ -340,7 +361,6 @@ impl<'w> Simulation<'w> {
             idle_scratch: Vec::new(),
             sink: None,
             attr: None,
-            #[cfg(feature = "validate")]
             full_mask,
             #[cfg(feature = "validate")]
             stack_depth_bound: None,
@@ -456,7 +476,7 @@ impl<'w> Simulation<'w> {
     /// True when this engine needs no more cycles: every warp has exited,
     /// or a failure was recorded.
     pub fn done(&self) -> bool {
-        self.pending_failure.is_some() || self.warps.iter().all(|w| w.exited)
+        self.pending_failure.is_some() || self.live_warps == 0
     }
 
     /// True when a failure has been recorded and is waiting for
@@ -486,7 +506,7 @@ impl<'w> Simulation<'w> {
     /// The run loop: step (and fast-forward) until all warps exit, the
     /// clock reaches `target`, or a failure fires.
     fn drive(&mut self, target: u64) -> Result<(), SimErrorKind> {
-        while !self.warps.iter().all(|w| w.exited) && self.cycle < target {
+        while self.live_warps > 0 && self.cycle < target {
             if self.cycle >= self.cfg.max_cycles {
                 return Err(SimErrorKind::CycleLimit { max_cycles: self.cfg.max_cycles });
             }
@@ -602,7 +622,14 @@ impl<'w> Simulation<'w> {
             let entry = port.pending.remove(&group).expect("entry exists");
             if let Some(d) = entry.dst {
                 let ready = entry.ready_acc + entry.extra as u64;
-                self.warps[entry.warp].reg_ready[d as usize] = ready;
+                let warp = &mut self.warps[entry.warp];
+                warp.reg_ready[d as usize] = ready;
+                // The register drops from the sentinel: the only place a
+                // `reg_ready` ever falls, so the warp's cached operand wait
+                // is stale. An exited warp stays asleep for good.
+                if !warp.exited {
+                    self.wake[entry.warp] = warp.blocked_until;
+                }
                 if let Some(attr) = &mut self.attr {
                     attr.producers[entry.warp][d as usize] =
                         RegProducer { mem: true, mshr_queued: false, base_ready: entry.ready_acc };
@@ -1032,8 +1059,7 @@ impl<'w> Simulation<'w> {
     /// fly so the candidate scan allocates nothing.
     fn schedule(&mut self, sched: usize) {
         let nsched = self.cfg.warp_schedulers;
-        // Number of warps owned by this scheduler.
-        let n = self.cfg.max_warps.saturating_sub(sched).div_ceil(nsched);
+        let n = self.sched_warps[sched];
         if n == 0 {
             return;
         }
@@ -1066,8 +1092,9 @@ impl<'w> Simulation<'w> {
     }
 
     /// Attempt to issue from candidate warp `w`; true ends the scan.
+    #[inline]
     fn try_schedule_warp(&mut self, sched: usize, w: usize) -> bool {
-        if self.warps[w].exited || self.warps[w].blocked_until > self.cycle {
+        if self.wake[w] > self.cycle {
             return false;
         }
         let issued = self.issue_from_warp(w);
@@ -1084,7 +1111,7 @@ impl<'w> Simulation<'w> {
     /// Try to issue up to the per-scheduler dual-issue limit from warp `w`.
     /// Returns how many instructions issued.
     fn issue_from_warp(&mut self, w: usize) -> usize {
-        let limit = self.cfg.issues_per_scheduler();
+        let limit = self.issue_limit;
         let mut issued = 0;
         let mut last_dst: Option<u8> = None;
         while issued < limit {
@@ -1105,7 +1132,12 @@ impl<'w> Simulation<'w> {
                         }
                     }
                 }
-                if !self.operands_ready(w, &op) {
+                let ready_at = self.operands_ready_at(w, &op);
+                if ready_at > self.cycle {
+                    // Nothing but this warp's own issue (or a chip-mode
+                    // response) changes its stack or scoreboard, so it
+                    // sleeps until the operands are in.
+                    self.wake[w] = ready_at.max(self.warps[w].blocked_until);
                     break;
                 }
                 match self.try_issue_op(w, &op, top.mask) {
@@ -1122,7 +1154,7 @@ impl<'w> Simulation<'w> {
                         // takes a few cycles in hardware, and backing off
                         // also keeps the scheduler from burning its issue
                         // slot on the same stalled warp every cycle.
-                        self.warps[w].blocked_until = self.cycle + 3;
+                        self.block_until(w, self.cycle + 3);
                         if let Some(attr) = &mut self.attr {
                             attr.block_reason[w] = BlockReason::Rdctrl;
                         }
@@ -1145,34 +1177,38 @@ impl<'w> Simulation<'w> {
         issued
     }
 
-    /// Scoreboard check: all sources and the destination are ready.
-    fn operands_ready(&self, w: usize, op: &MicroOp) -> bool {
+    /// Scoreboard check: the cycle at which all of `op`'s sources and its
+    /// destination are ready (the op may issue iff this is `<= cycle`).
+    fn operands_ready_at(&self, w: usize, op: &MicroOp) -> u64 {
         let ready = &self.warps[w].reg_ready;
-        if op.sources().any(|s| ready[s as usize] > self.cycle) {
-            return false;
-        }
-        if let Some(d) = op.dst {
-            if ready[d as usize] > self.cycle {
-                return false;
-            }
-        }
-        true
+        op.sources().chain(op.dst).map(|r| ready[r as usize]).max().unwrap_or(0)
+    }
+
+    /// Block warp `w` from issuing before cycle `until`. Every write of
+    /// `blocked_until` goes through here so the wake table stays exact.
+    fn block_until(&mut self, w: usize, until: u64) {
+        self.warps[w].blocked_until = until;
+        self.wake[w] = until;
     }
 
     /// Issue one micro-op for warp `w` under `mask`.
     fn try_issue_op(&mut self, w: usize, op: &MicroOp, mask: u32) -> IssueResult {
         let now = self.cycle;
-        // Active lanes on the stack: at most 32 (config-validated).
+        let live = mask & self.full_mask;
+        debug_assert_ne!(live, 0, "issue with empty mask");
+        // Active lanes on the stack: at most 32 (config-validated). A
+        // special op addresses the unit, not lanes, so it needs no list.
         let mut active_buf = [0usize; 32];
         let mut na = 0;
-        for l in 0..self.cfg.simd_lanes {
-            if mask & (1 << l) != 0 {
-                active_buf[na] = l;
+        if !matches!(op.kind, OpKind::Special { .. }) {
+            let mut bits = live;
+            while bits != 0 {
+                active_buf[na] = bits.trailing_zeros() as usize;
                 na += 1;
+                bits &= bits - 1;
             }
         }
         let active = &active_buf[..na];
-        debug_assert!(!active.is_empty(), "issue with empty mask");
         #[cfg(feature = "validate")]
         {
             assert_ne!(mask, 0, "validate: issue with empty active mask");
@@ -1255,9 +1291,10 @@ impl<'w> Simulation<'w> {
             }
         }
         // Record the issue in the right histogram.
+        let lanes = live.count_ones() as usize;
         match op.tag {
-            OpTag::Normal => self.stats.issued.record(active.len()),
-            OpTag::SpawnOverhead => self.stats.issued_si.record(active.len()),
+            OpTag::Normal => self.stats.issued.record(lanes),
+            OpTag::SpawnOverhead => self.stats.issued_si.record(lanes),
         }
         IssueResult::Issued
     }
@@ -1325,7 +1362,7 @@ impl<'w> Simulation<'w> {
             let start = self.spawn_busy_until.max(now);
             let end = start + 1 + conflict_cycles;
             self.spawn_busy_until = end;
-            self.warps[w].blocked_until = end;
+            self.block_until(w, end);
             if let Some(attr) = &mut self.attr {
                 attr.block_reason[w] = BlockReason::SpawnMem;
             }
@@ -1406,20 +1443,25 @@ impl<'w> Simulation<'w> {
                 let top = self.warps[w].top_mut();
                 top.pc = t;
                 top.op_idx = 0;
-                self.warps[w].blocked_until = now + self.cfg.branch_penalty as u64;
+                self.block_until(w, now + self.cfg.branch_penalty as u64);
                 if let Some(attr) = &mut self.attr {
                     attr.block_reason[w] = BlockReason::Branch;
                 }
             }
             Terminator::Exit => {
                 self.warps[w].exited = true;
+                self.wake[w] = u64::MAX;
+                self.live_warps -= 1;
             }
             Terminator::Branch { cond, on_true, on_false, reconverge } => {
                 let mut t_mask = 0u32;
-                for l in 0..self.cfg.simd_lanes {
-                    if mask & (1 << l) != 0 && self.behavior.eval_cond(cond, w, l, &self.machine) {
+                let mut bits = mask & self.full_mask;
+                while bits != 0 {
+                    let l = bits.trailing_zeros() as usize;
+                    if self.behavior.eval_cond(cond, w, l, &self.machine) {
                         t_mask |= 1 << l;
                     }
+                    bits &= bits - 1;
                 }
                 let f_mask = mask & !t_mask;
                 #[cfg(feature = "validate")]
@@ -1473,7 +1515,7 @@ impl<'w> Simulation<'w> {
                         }
                     }
                 }
-                self.warps[w].blocked_until = now + self.cfg.branch_penalty as u64;
+                self.block_until(w, now + self.cfg.branch_penalty as u64);
                 if let Some(attr) = &mut self.attr {
                     attr.block_reason[w] = BlockReason::Branch;
                 }
@@ -2032,6 +2074,48 @@ mod more_engine_tests {
         assert_eq!(shared.mem_transactions, 1, "32 lanes, one line");
         let scattered = run_probe(A_SCATTER);
         assert_eq!(scattered.mem_transactions, 32, "one line per lane");
+    }
+
+    /// Chip mode: a warp whose next op waits on a shared-memory load sleeps
+    /// on the sentinel until `chip_complete`, and then issues in exactly
+    /// the cycle the register is released, with or without the fast path.
+    #[test]
+    fn chip_load_dependent_issues_in_the_release_cycle() {
+        for fastpath in [true, false] {
+            let program = Program::new(vec![Block::new(
+                "only",
+                vec![MicroOp::load(1, MemSpace::Texture, A_SHARED, &[]), MicroOp::alu(2, &[1], 9)],
+                Terminator::Exit,
+            )]);
+            let scripts: Vec<RayScript> = vec![];
+            let cfg = GpuConfig { max_warps: 1, ..GpuConfig::gtx780() };
+            let mut sim = Simulation::new(
+                cfg,
+                program,
+                Box::new(CoalesceProbe),
+                Box::new(NullSpecial),
+                &scripts,
+            );
+            sim.set_fastpath(fastpath);
+            sim.attach_chip_port();
+            sim.advance_to(50);
+            let mut requests = Vec::new();
+            sim.drain_requests(&mut requests);
+            assert_eq!(requests.len(), 1, "one line, missing in L1");
+            assert_eq!(sim.stats.loads, 1);
+            let issued = sim.stats.issued.total;
+            let ready = 400;
+            sim.chip_complete(requests[0].group, ready);
+            sim.advance_to(ready);
+            assert_eq!(sim.cycle(), ready);
+            assert_eq!(sim.stats.issued.total, issued, "the ALU waits for its operand");
+            sim.advance_to(ready + 1);
+            assert_eq!(sim.stats.issued.total, issued + 1, "the ALU issues in the release cycle");
+            sim.advance_to(u64::MAX);
+            assert!(sim.done());
+            let stats = sim.finish().expect("completes");
+            assert_eq!(stats.cycles, ready + 2, "the exit follows one cycle later");
+        }
     }
 
     /// Scheduler-policy ablation: LRR and GTO produce different (but both
