@@ -6,6 +6,10 @@ use drs_sim::{MachineState, RayState, SimStats, SpecialOutcome, SpecialUnit};
 /// Live registers per ray moved by one swap (17 × 32-bit, per the paper).
 pub const RAY_REGISTERS: usize = 17;
 
+/// Most logical ray rows one unit may hold: its unbound-row set is one
+/// `u128` bitmask.
+pub const MAX_ROWS: usize = 128;
+
 /// Configuration of the DRS hardware.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrsConfig {
@@ -44,11 +48,18 @@ impl DrsConfig {
     ///
     /// # Panics
     ///
-    /// Panics when any parameter is zero where that makes no sense.
+    /// Panics when any parameter is zero where that makes no sense, or
+    /// when the unit would hold more than [`MAX_ROWS`] rows.
     pub fn validate(&self) {
         assert!(self.warps > 0, "need at least one warp");
         assert!(self.lanes > 0 && self.lanes <= 32, "lanes in 1..=32");
         assert!(self.swap_buffers >= 3, "need at least one buffer per task");
+        assert!(
+            self.rows() <= MAX_ROWS,
+            "{} warps + {} backup rows + 2 empty rows exceed the unit's {MAX_ROWS} rows",
+            self.warps,
+            self.backup_rows
+        );
     }
 }
 
@@ -161,6 +172,9 @@ pub struct DrsUnit {
     row_of_warp: Vec<usize>,
     /// Reverse map: row → bound warp.
     warp_of_row: Vec<Option<usize>>,
+    /// Bit `r` set iff row `r` is bound to no warp (`warp_of_row[r]` is
+    /// `None`), so the scans for unbound rows visit only those.
+    unbound: u128,
     /// Ray-state table as per-row lane bitplanes: bit `l` of `inner[row]`
     /// (`leaf[row]`) is set when slot `(row, l)` holds an inner-state
     /// (leaf-state) ray. Every other slot of the row is a hole.
@@ -215,6 +229,7 @@ impl DrsUnit {
             cfg,
             row_of_warp: (0..cfg.warps).collect(),
             warp_of_row: (0..rows).map(|r| (r < cfg.warps).then_some(r)).collect(),
+            unbound: (cfg.warps..rows).fold(0, |acc, r| acc | 1 << r),
             inner: vec![0; rows],
             leaf: vec![0; rows],
             busy: vec![0; rows],
@@ -347,8 +362,8 @@ impl DrsUnit {
     /// offering the most active lanes.
     fn best_free_row(&self, m: &MachineState<'_>) -> Option<(usize, u32)> {
         let mut best: Option<(usize, u32)> = None;
-        for row in 0..self.cfg.rows() {
-            if self.warp_of_row[row].is_some() || self.row_has_busy_slot(row) {
+        for row in rows_in(self.unbound) {
+            if self.row_has_busy_slot(row) {
                 continue;
             }
             let score = self.row_score(row, m);
@@ -382,12 +397,19 @@ impl DrsUnit {
         }
     }
 
+    /// The unbound-row mask agrees with the renaming table.
+    fn unbound_in_sync(&self) -> bool {
+        (0..self.cfg.rows()).all(|r| (self.unbound >> r & 1 == 1) == self.warp_of_row[r].is_none())
+    }
+
     /// Move a warp's binding to `row`.
     fn rename(&mut self, warp: usize, row: usize) {
         let old = self.row_of_warp[warp];
         self.warp_of_row[old] = None;
         self.warp_of_row[row] = Some(warp);
         self.row_of_warp[warp] = row;
+        self.unbound = (self.unbound | 1 << old) & !(1 << row);
+        debug_assert!(self.unbound_in_sync(), "unbound mask out of sync with the renaming table");
         self.generation += 1;
         self.replan = true;
     }
@@ -411,9 +433,7 @@ impl DrsUnit {
         if !self.transfers.is_empty() {
             return false; // rays in flight
         }
-        (0..self.cfg.rows())
-            .filter(|&r| self.warp_of_row[r].is_none())
-            .all(|r| self.row_summary(r).rays() == 0)
+        rows_in(self.unbound).all(|r| self.row_summary(r).rays() == 0)
     }
 
     /// Idealized shuffling: instantly gather rays of one state from unbound
@@ -424,11 +444,9 @@ impl DrsUnit {
         // all unbound rows.
         let mut avail_inner = self.row_summary(row).inner as u32;
         let mut avail_leaf = self.row_summary(row).leaf as u32;
-        for r in 0..self.cfg.rows() {
-            if self.warp_of_row[r].is_none() {
-                avail_inner += self.row_summary(r).inner as u32;
-                avail_leaf += self.row_summary(r).leaf as u32;
-            }
+        for r in rows_in(self.unbound) {
+            avail_inner += self.row_summary(r).inner as u32;
+            avail_leaf += self.row_summary(r).leaf as u32;
         }
         let want = if avail_inner >= avail_leaf { RayState::Inner } else { RayState::Leaf };
         let want_ctrl = if want == RayState::Inner { CTRL_TRAV_INNER } else { CTRL_TRAV_LEAF };
@@ -439,8 +457,6 @@ impl DrsUnit {
         // then pull matching rays in. Zero cost (ideal).
         self.generation += 1;
         let lanes = self.cfg.lanes;
-        let unbound: Vec<usize> =
-            (0..self.cfg.rows()).filter(|&r| self.warp_of_row[r].is_none()).collect();
         for lane in 0..lanes {
             let dst = self.slot_index(row, lane);
             let dst_state = m.state_cache[dst];
@@ -450,7 +466,7 @@ impl DrsUnit {
             }
             // Find a donor slot with the wanted state in an unbound row.
             let mut donor = None;
-            'outer: for &r in &unbound {
+            'outer: for r in rows_in(self.unbound) {
                 for l in 0..lanes {
                     let s = self.slot_index(r, l);
                     if m.state_cache[s] == want {
@@ -722,8 +738,8 @@ impl DrsUnit {
             }
         }
         // Rename to a strictly acceptable unbound row if one exists.
-        for r in 0..self.cfg.rows() {
-            if self.warp_of_row[r].is_some() || self.row_has_busy_slot(r) {
+        for r in rows_in(self.unbound) {
+            if self.row_has_busy_slot(r) {
                 continue;
             }
             if let Some(ctrl) = self.strict_ctrl(r, m) {
@@ -775,6 +791,17 @@ impl DrsUnit {
         self.set_parked(warp, true);
         SpecialOutcome::Stall
     }
+}
+
+/// The rows whose bits are set in `mask`, ascending.
+fn rows_in(mut mask: u128) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let r = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            r
+        })
+    })
 }
 
 impl SpecialUnit for DrsUnit {
@@ -953,6 +980,25 @@ mod tests {
         assert_eq!(c.rows(), 58 + 1 + 2);
         assert_eq!(c.buffers_per_task(), 2);
         c.validate();
+    }
+
+    #[test]
+    fn unbound_mask_holds_max_rows() {
+        // 118 warps + 8 backup rows + 2 empty rows fill the mask exactly.
+        let cfg =
+            DrsConfig { warps: 118, backup_rows: 8, swap_buffers: 6, ideal: false, lanes: 32 };
+        assert_eq!(cfg.rows(), MAX_ROWS);
+        let unit = DrsUnit::new(cfg);
+        assert_eq!(unit.unbound, 0x3FF << 118);
+        assert!(unit.unbound_in_sync());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the unit's 128 rows")]
+    fn more_rows_than_the_unbound_mask_holds_is_rejected() {
+        let cfg =
+            DrsConfig { warps: 119, backup_rows: 8, swap_buffers: 6, ideal: false, lanes: 32 };
+        let _ = DrsUnit::new(cfg);
     }
 
     #[test]

@@ -32,4 +32,4 @@ mod drs;
 pub mod overhead;
 pub mod system;
 
-pub use drs::{DrsConfig, DrsUnit, RowSummary, RAY_REGISTERS};
+pub use drs::{DrsConfig, DrsUnit, RowSummary, MAX_ROWS, RAY_REGISTERS};

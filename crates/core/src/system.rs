@@ -25,6 +25,10 @@ impl KernelBehavior for RowedWhileIf {
         self.kernel.eval_cond(token, warp, lane, m)
     }
 
+    fn eval_cond_mask(&self, token: u16, warp: usize, mask: u32, m: &MachineState<'_>) -> u32 {
+        self.kernel.eval_cond_mask(token, warp, mask, m)
+    }
+
     fn eval_addr(&self, token: u16, warp: usize, lane: usize, m: &MachineState<'_>) -> u64 {
         self.kernel.eval_addr(token, warp, lane, m)
     }

@@ -15,7 +15,10 @@ use crate::costs::{
     compute_chain, expand_chain, load, update_chain, FETCH_ALU_OPS, FETCH_LOADS, INNER_ALU_OPS,
     PRIM_ALU_OPS, PRIM_LOADS, PUSH_FAR_ALU_OPS, RAY_REG_LO,
 };
-use drs_sim::{Block, KernelBehavior, MachineState, MemSpace, MicroOp, OpTag, Program, Terminator};
+use drs_sim::{
+    eval_cond_lanes, Block, KernelBehavior, MachineState, MemSpace, MicroOp, OpTag, Program,
+    Terminator,
+};
 use drs_trace::Step;
 
 /// `trav_ctrl_val` returned when the warp should terminate.
@@ -269,14 +272,24 @@ impl WhileIfKernel {
     }
 }
 
+/// A warp-uniform control condition on the warp's `trav_ctrl_val`, or
+/// `None` for a per-lane guard.
+fn ctrl_cond(token: u16, ctrl: u32) -> Option<bool> {
+    match token {
+        C_CTRL_NOT_EXIT => Some(ctrl != CTRL_EXIT),
+        C_CTRL_FETCH => Some(matches!(ctrl, CTRL_FETCH | CTRL_TRAV_BOTH)),
+        C_CTRL_INNER => Some(matches!(ctrl, CTRL_TRAV_INNER | CTRL_TRAV_BOTH)),
+        C_CTRL_LEAF => Some(matches!(ctrl, CTRL_TRAV_LEAF | CTRL_TRAV_BOTH)),
+        _ => None,
+    }
+}
+
 impl KernelBehavior for WhileIfKernel {
     fn eval_cond(&self, token: u16, warp: usize, lane: usize, m: &MachineState<'_>) -> bool {
+        if let Some(taken) = ctrl_cond(token, m.warp_ctrl[warp]) {
+            return taken;
+        }
         match token {
-            // Warp-uniform control conditions.
-            C_CTRL_NOT_EXIT => m.warp_ctrl[warp] != CTRL_EXIT,
-            C_CTRL_FETCH => matches!(m.warp_ctrl[warp], CTRL_FETCH | CTRL_TRAV_BOTH),
-            C_CTRL_INNER => matches!(m.warp_ctrl[warp], CTRL_TRAV_INNER | CTRL_TRAV_BOTH),
-            C_CTRL_LEAF => matches!(m.warp_ctrl[warp], CTRL_TRAV_LEAF | CTRL_TRAV_BOTH),
             // Per-lane guards.
             C_LANE_CAN_FETCH => {
                 let Some(s) = m.slot_of(warp, lane) else { return false };
@@ -300,6 +313,16 @@ impl KernelBehavior for WhileIfKernel {
                 m.slots[s].leaf_prims_left > 0
             }
             _ => panic!("unknown condition token {token}"),
+        }
+    }
+
+    /// The `C_CTRL_*` conditions are warp-uniform: evaluated once, they
+    /// take the whole mask or none of it.
+    fn eval_cond_mask(&self, token: u16, warp: usize, mask: u32, m: &MachineState<'_>) -> u32 {
+        match ctrl_cond(token, m.warp_ctrl[warp]) {
+            Some(true) => mask,
+            Some(false) => 0,
+            None => eval_cond_lanes(self, token, warp, mask, m),
         }
     }
 

@@ -22,8 +22,8 @@ use crate::costs::{
     PRIM_ALU_OPS, PRIM_LOADS, PUSH_FAR_ALU_OPS, RAY_REG_LO,
 };
 use drs_sim::{
-    Block, KernelBehavior, MachineState, MemSpace, MicroOp, OpTag, Program, RaySlot, Terminator,
-    NO_POSTPONED,
+    eval_cond_lanes, Block, KernelBehavior, MachineState, MemSpace, MicroOp, OpTag, Program,
+    RaySlot, Terminator, NO_POSTPONED,
 };
 use drs_trace::Step;
 
@@ -202,6 +202,35 @@ impl WhileWhileKernel {
         }
     }
 
+    /// Whether slot `s` holds a ray with traversal work left.
+    fn ray_active(m: &MachineState<'_>, s: usize) -> bool {
+        let slot = &m.slots[s];
+        slot.ray.is_some()
+            && (slot.leaf_prims_left > 0
+                || slot.postponed_pos != NO_POSTPONED
+                || m.peek_step(s).is_some())
+    }
+
+    /// The lanes of `warp` whose ray has traversal work left.
+    fn active_lanes(m: &MachineState<'_>, warp: usize) -> u32 {
+        (0..m.lanes)
+            .filter(|&l| m.slot_of(warp, l).is_some_and(|s| Self::ray_active(m, s)))
+            .fold(0, |acc, l| acc | 1 << l)
+    }
+
+    /// Terminated-ray replacement (Aila's Kepler optimization): when warp
+    /// utilization drops below a quarter and rays remain in the queue, the
+    /// whole warp votes to break out and refill its empty lanes before
+    /// continuing. The threshold reproduces the baseline SIMD-efficiency
+    /// band the paper measures for Aila's kernel (28-36% on secondary
+    /// bounces). `active` yields the warp's active lanes, and runs only
+    /// when a vote is possible.
+    fn votes_to_refill(&self, m: &MachineState<'_>, active: impl FnOnce() -> u32) -> bool {
+        self.config.replace_terminated
+            && !m.queue.is_empty()
+            && (active().count_ones() as usize) * 4 < m.lanes
+    }
+
     fn wants_leaf(&self, slot: &RaySlot, m: &MachineState<'_>, slot_idx: usize) -> bool {
         slot.leaf_prims_left > 0
             || slot.postponed_pos != NO_POSTPONED
@@ -260,37 +289,7 @@ impl KernelBehavior for WhileWhileKernel {
                 }
             }
             C_RAY_ACTIVE => {
-                let lane_active = slot.ray.is_some()
-                    && (slot.leaf_prims_left > 0
-                        || slot.postponed_pos != NO_POSTPONED
-                        || m.peek_step(s).is_some());
-                if !lane_active {
-                    return false;
-                }
-                // Terminated-ray replacement (Aila's Kepler optimization):
-                // when warp utilization drops below a quarter and rays
-                // remain in the queue, the whole warp votes to break out
-                // and refill its empty lanes before continuing. The
-                // threshold reproduces the baseline SIMD-efficiency band
-                // the paper measures for Aila's kernel (28-36% on
-                // secondary bounces).
-                if self.config.replace_terminated && !m.queue.is_empty() {
-                    let active = (0..m.lanes)
-                        .filter(|&l| {
-                            m.slot_of(warp, l).is_some_and(|sl| {
-                                let so = m.slots[sl];
-                                so.ray.is_some()
-                                    && (so.leaf_prims_left > 0
-                                        || so.postponed_pos != NO_POSTPONED
-                                        || m.peek_step(sl).is_some())
-                            })
-                        })
-                        .count();
-                    if active * 4 < m.lanes {
-                        return false;
-                    }
-                }
-                true
+                Self::ray_active(m, s) && !self.votes_to_refill(m, || Self::active_lanes(m, warp))
             }
             C_WANTS_INNER => self.wants_inner(&slot, m, s),
             C_BOTH_HIT => {
@@ -298,6 +297,22 @@ impl KernelBehavior for WhileWhileKernel {
             }
             C_WANTS_LEAF => self.wants_leaf(&slot, m, s),
             _ => panic!("unknown condition token {token}"),
+        }
+    }
+
+    /// `C_RAY_ACTIVE` once per warp: the warp's active lanes are counted
+    /// once instead of once per lane.
+    fn eval_cond_mask(&self, token: u16, warp: usize, mask: u32, m: &MachineState<'_>) -> u32 {
+        match token {
+            C_RAY_ACTIVE => {
+                let active = Self::active_lanes(m, warp);
+                if self.votes_to_refill(m, || active) {
+                    0
+                } else {
+                    active & mask
+                }
+            }
+            _ => eval_cond_lanes(self, token, warp, mask, m),
         }
     }
 

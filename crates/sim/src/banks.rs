@@ -44,12 +44,25 @@ impl RegisterBanks {
         (reg as usize + warp) % self.banks
     }
 
-    /// Record an operand read this cycle; returns the number of *extra*
-    /// cycles this read adds due to a port collision.
-    pub fn read(&mut self, warp: usize, reg: u8) -> u32 {
-        let b = self.bank_of(warp, reg);
-        let prior = self.usage[b];
-        self.usage[b] += 1;
+    /// [`RegisterBanks::bank_of`] from precomputed offsets: `reg_off =
+    /// reg % banks` and `warp_off = warp % banks`. Both are below the bank
+    /// count, so one conditional subtraction replaces the `%`.
+    #[inline]
+    pub fn bank_at(&self, reg_off: usize, warp_off: usize) -> usize {
+        let b = reg_off + warp_off;
+        if b >= self.banks {
+            b - self.banks
+        } else {
+            b
+        }
+    }
+
+    /// Record an operand read on `bank` this cycle; returns the number of
+    /// *extra* cycles this read adds due to a port collision.
+    #[inline]
+    pub fn read(&mut self, bank: usize) -> u32 {
+        let prior = self.usage[bank];
+        self.usage[bank] += 1;
         self.dirty = true;
         self.total_reads += 1;
         if prior > 0 {
@@ -58,11 +71,10 @@ impl RegisterBanks {
         prior
     }
 
-    /// Record a result write this cycle.
-    pub fn write(&mut self, warp: usize, reg: u8) {
-        let b = self.bank_of(warp, reg);
-        // Writes use the dedicated write port; tracked for energy/stats.
-        let _ = b;
+    /// Record a result write this cycle. Writes use each bank's dedicated
+    /// write port, so only the count matters (energy/stats).
+    #[inline]
+    pub fn write(&mut self) {
         self.total_writes += 1;
     }
 
@@ -110,10 +122,10 @@ mod tests {
     #[test]
     fn collisions_add_latency() {
         let mut rb = RegisterBanks::new(4);
-        assert_eq!(rb.read(0, 0), 0);
-        assert_eq!(rb.read(0, 4), 1, "same bank, second read collides");
-        assert_eq!(rb.read(0, 8), 2);
-        assert_eq!(rb.read(0, 1), 0, "different bank is free");
+        assert_eq!(rb.read(rb.bank_of(0, 0)), 0);
+        assert_eq!(rb.read(rb.bank_of(0, 4)), 1, "same bank, second read collides");
+        assert_eq!(rb.read(rb.bank_of(0, 8)), 2);
+        assert_eq!(rb.read(rb.bank_of(0, 1)), 0, "different bank is free");
         assert_eq!(rb.total_conflicts, 2);
         assert_eq!(rb.total_reads, 4);
     }
@@ -128,7 +140,7 @@ mod tests {
     #[test]
     fn idle_banks_reflect_usage() {
         let mut rb = RegisterBanks::new(4);
-        rb.read(0, 1);
+        rb.read(rb.bank_of(0, 1));
         let idle = rb.idle_banks();
         assert!(!idle[1]);
         assert!(idle[0] && idle[2] && idle[3]);
@@ -139,8 +151,8 @@ mod tests {
     #[test]
     fn writes_do_not_collide() {
         let mut rb = RegisterBanks::new(2);
-        rb.write(0, 0);
-        rb.write(0, 2);
+        rb.write();
+        rb.write();
         assert_eq!(rb.total_conflicts, 0);
         assert_eq!(rb.total_writes, 2);
         assert!(rb.idle_banks().iter().all(|&b| b), "writes do not consume read ports");

@@ -10,8 +10,19 @@ use crate::stats::SimStats;
 /// each owning a boxed behavior — across worker threads. Behaviors are
 /// plain data plus lookups, so the bound costs implementors nothing.
 pub trait KernelBehavior: Send {
-    /// Evaluate branch condition `token` for `lane` of `warp`.
+    /// Evaluate branch condition `token` for `lane` of `warp`. The
+    /// semantic reference for [`KernelBehavior::eval_cond_mask`].
     fn eval_cond(&self, token: u16, warp: usize, lane: usize, m: &MachineState<'_>) -> bool;
+
+    /// Evaluate branch condition `token` for every lane of `mask` at once:
+    /// bit `l` of the result is set iff `l` is in `mask` and
+    /// [`eval_cond`](KernelBehavior::eval_cond) holds for lane `l`. The
+    /// engine calls this at every branch. The default runs the per-lane
+    /// loop ([`eval_cond_lanes`]); a kernel overrides it to evaluate a
+    /// warp-uniform condition, or a warp-wide vote, once per warp.
+    fn eval_cond_mask(&self, token: u16, warp: usize, mask: u32, m: &MachineState<'_>) -> u32 {
+        eval_cond_lanes(self, token, warp, mask, m)
+    }
 
     /// Produce the byte address for address token `token` on `lane`.
     fn eval_addr(&self, token: u16, warp: usize, lane: usize, m: &MachineState<'_>) -> u64;
@@ -30,6 +41,28 @@ pub trait KernelBehavior: Send {
     fn initialize(&self, m: &mut MachineState<'_>) {
         let _ = m;
     }
+}
+
+/// The per-lane form of [`KernelBehavior::eval_cond_mask`]: one
+/// [`KernelBehavior::eval_cond`] call per lane of `mask`. Overrides call
+/// it for the conditions they do not evaluate per warp.
+pub fn eval_cond_lanes<B: KernelBehavior + ?Sized>(
+    behavior: &B,
+    token: u16,
+    warp: usize,
+    mask: u32,
+    m: &MachineState<'_>,
+) -> u32 {
+    let mut out = 0;
+    let mut bits = mask;
+    while bits != 0 {
+        let lane = bits.trailing_zeros() as usize;
+        if behavior.eval_cond(token, warp, lane, m) {
+            out |= 1 << lane;
+        }
+        bits &= bits - 1;
+    }
+    out
 }
 
 /// Result of presenting a `Special` micro-op to the attached unit.

@@ -7,6 +7,10 @@ use std::fmt;
 /// (`drs-chip`) model the whole capacity as one banked cache.
 pub const L2_TOTAL_BYTES: usize = 1536 * 1024;
 
+/// Most warps one scheduler may own: its ready set is one `u64` bitmask
+/// (see DESIGN.md "Cheap stepped cycles").
+pub const MAX_WARPS_PER_SCHEDULER: usize = 64;
+
 /// Warp scheduling policy of each scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedulerPolicy {
@@ -120,15 +124,28 @@ impl GpuConfig {
         (self.dispatch_units / self.warp_schedulers).max(1)
     }
 
+    /// Warps the busiest scheduler owns (warp `w` belongs to scheduler
+    /// `w % warp_schedulers`).
+    pub fn warps_per_scheduler(&self) -> usize {
+        self.max_warps.div_ceil(self.warp_schedulers.max(1))
+    }
+
     /// Validate internal consistency.
     ///
     /// # Panics
     ///
     /// Panics on nonsensical configurations (zero lanes, schedulers that
-    /// outnumber dispatch units, non-power-of-two line size).
+    /// outnumber dispatch units, non-power-of-two line size, more warps
+    /// per scheduler than its ready mask holds).
     pub fn validate(&self) {
         assert!(self.simd_lanes > 0 && self.simd_lanes <= 32, "lanes in 1..=32");
         assert!(self.warp_schedulers > 0, "need at least one scheduler");
+        assert!(
+            self.warps_per_scheduler() <= MAX_WARPS_PER_SCHEDULER,
+            "{} warps over {} schedulers exceed {MAX_WARPS_PER_SCHEDULER} warps per scheduler",
+            self.max_warps,
+            self.warp_schedulers
+        );
         assert!(self.dispatch_units >= self.warp_schedulers, "dispatch < schedulers");
         assert!(self.line_bytes.is_power_of_two(), "line size must be a power of two");
         assert!(self.max_warps > 0, "need at least one warp");
@@ -251,6 +268,21 @@ mod tests {
     fn bad_config_panics() {
         let mut c = GpuConfig::gtx780();
         c.line_bytes = 100;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed 64 warps per scheduler")]
+    fn more_warps_than_a_ready_mask_holds_is_rejected() {
+        let c = GpuConfig { max_warps: 4 * MAX_WARPS_PER_SCHEDULER + 1, ..GpuConfig::gtx780() };
+        assert_eq!(c.warps_per_scheduler(), MAX_WARPS_PER_SCHEDULER + 1);
+        c.validate();
+    }
+
+    #[test]
+    fn a_full_ready_mask_is_accepted() {
+        let c = GpuConfig { max_warps: 4 * MAX_WARPS_PER_SCHEDULER, ..GpuConfig::gtx780() };
+        assert_eq!(c.warps_per_scheduler(), MAX_WARPS_PER_SCHEDULER);
         c.validate();
     }
 

@@ -41,15 +41,21 @@ struct WarpTiming {
     reg_ready: [u64; TRACKED_REGS],
     blocked_until: u64,
     exited: bool,
+    /// This warp's entry in the scheduler-major wake table.
+    wake_slot: usize,
+    /// `warp % register_banks`, the warp's register-bank interleave.
+    bank_off: usize,
 }
 
 impl WarpTiming {
-    fn new(entry: BlockId, mask: u32) -> WarpTiming {
+    fn new(entry: BlockId, mask: u32, wake_slot: usize, bank_off: usize) -> WarpTiming {
         WarpTiming {
             stack: vec![StackEntry { pc: entry, op_idx: 0, mask, reconv: NO_RECONV }],
             reg_ready: [0; TRACKED_REGS],
             blocked_until: 0,
             exited: false,
+            wake_slot,
+            bank_off,
         }
     }
 
@@ -81,6 +87,91 @@ impl WarpTiming {
             i -= 1;
         }
         &self.stack[i]
+    }
+}
+
+/// One micro-op decoded once at construction, so the issue path reads
+/// fixed arrays instead of chasing `Program` blocks and iterator chains.
+#[derive(Debug, Clone, Copy)]
+struct DecodedOp {
+    kind: OpKind,
+    tag: OpTag,
+    dst: Option<u8>,
+    /// The sources, then the destination: every register the scoreboard
+    /// checks. Only the first `nregs` entries are meaningful.
+    regs: [u8; 4],
+    nregs: u8,
+    /// Sources among `regs` (its first `nsrc` entries).
+    nsrc: u8,
+    /// Each source's `reg % register_banks`.
+    src_bank: [u8; 3],
+}
+
+impl DecodedOp {
+    fn decode(op: &MicroOp, banks: usize) -> DecodedOp {
+        let mut d = DecodedOp {
+            kind: op.kind,
+            tag: op.tag,
+            dst: op.dst,
+            regs: [0; 4],
+            nregs: 0,
+            nsrc: 0,
+            src_bank: [0; 3],
+        };
+        for s in op.sources() {
+            d.src_bank[d.nsrc as usize] = (s as usize % banks) as u8;
+            d.regs[d.nsrc as usize] = s;
+            d.nsrc += 1;
+        }
+        d.nregs = d.nsrc;
+        if let Some(r) = op.dst {
+            d.regs[d.nregs as usize] = r;
+            d.nregs += 1;
+        }
+        d
+    }
+
+    /// Every register the scoreboard checks: sources, then destination.
+    #[inline]
+    fn regs(&self) -> &[u8] {
+        &self.regs[..self.nregs as usize]
+    }
+
+    #[inline]
+    fn src_banks(&self) -> &[u8] {
+        &self.src_bank[..self.nsrc as usize]
+    }
+}
+
+/// Every block's ops flattened into one table: block `b`'s ops are
+/// `ops[first[b]..first[b + 1]]`.
+#[derive(Debug, Clone)]
+struct OpTable {
+    ops: Vec<DecodedOp>,
+    first: Vec<usize>,
+}
+
+impl OpTable {
+    fn new(program: &Program, banks: usize) -> OpTable {
+        let mut ops = Vec::with_capacity(program.static_op_count());
+        let mut first = Vec::with_capacity(program.blocks().len() + 1);
+        for b in program.blocks() {
+            first.push(ops.len());
+            ops.extend(b.ops.iter().map(|op| DecodedOp::decode(op, banks)));
+        }
+        first.push(ops.len());
+        OpTable { ops, first }
+    }
+
+    /// Op `idx` of block `pc`, or `None` at the block's terminator.
+    #[inline]
+    fn get(&self, pc: BlockId, idx: usize) -> Option<&DecodedOp> {
+        let at = self.first[pc as usize] + idx;
+        if at < self.first[pc as usize + 1] {
+            Some(&self.ops[at])
+        } else {
+            None
+        }
     }
 }
 
@@ -216,6 +307,8 @@ struct ChipPort {
 pub struct Simulation<'w> {
     cfg: GpuConfig,
     program: Program,
+    /// `program`'s ops, decoded once.
+    table: OpTable,
     behavior: Box<dyn KernelBehavior + 'w>,
     special: Box<dyn SpecialUnit + 'w>,
     /// Architectural machine state (public so harnesses can inspect it).
@@ -223,13 +316,17 @@ pub struct Simulation<'w> {
     mem: MemoryHierarchy,
     banks: RegisterBanks,
     warps: Vec<WarpTiming>,
-    /// Dense per-warp wake table, the only per-warp state the schedulers
-    /// read: warp `w` cannot issue before cycle `wake[w]` (`u64::MAX` once
-    /// it has exited). An entry is the max of the warp's `blocked_until`
-    /// and, after a failed scoreboard check, the cycle its next op's
-    /// operands become ready. Only the warp's own issue and
-    /// [`Simulation::chip_complete`] may lower it.
+    /// Dense wake table, the only per-warp state the schedulers read,
+    /// stored scheduler by scheduler: warp `i` of scheduler `s` (warp
+    /// `s + i * warp_schedulers`) sits at `s * wake_stride + i` and cannot
+    /// issue before that cycle (`u64::MAX` once it has exited, and for the
+    /// padding of a scheduler with fewer warps). An entry is the max of the
+    /// warp's `blocked_until` and, after a failed scoreboard check, the
+    /// cycle its next op's operands become ready. Only the warp's own issue
+    /// and [`Simulation::chip_complete`] may lower it.
     wake: Vec<u64>,
+    /// Wake-table entries per scheduler (the most warps any one owns).
+    wake_stride: usize,
     /// Warps that have not exited yet.
     live_warps: usize,
     /// Instructions one scheduler may issue from a warp per cycle.
@@ -244,7 +341,7 @@ pub struct Simulation<'w> {
     /// other warps' spawn traffic).
     spawn_busy_until: u64,
     cycle: u64,
-    /// Greedy warp per scheduler.
+    /// Greedy warp per scheduler, as its index within that scheduler.
     sched_current: Vec<usize>,
     /// Event-driven cycle skipping (on by default). When every warp is
     /// provably unable to issue and the special unit is quiescent, the
@@ -324,28 +421,41 @@ impl<'w> Simulation<'w> {
             }
         }
         let full_mask = if cfg.simd_lanes == 32 { u32::MAX } else { (1u32 << cfg.simd_lanes) - 1 };
-        let warps = (0..cfg.max_warps).map(|_| WarpTiming::new(0, full_mask)).collect();
+        let nsched = cfg.warp_schedulers;
+        let wake_stride = cfg.warps_per_scheduler();
+        let warps = (0..cfg.max_warps)
+            .map(|w| {
+                let wake_slot = (w % nsched) * wake_stride + w / nsched;
+                WarpTiming::new(0, full_mask, wake_slot, w % cfg.register_banks)
+            })
+            .collect::<Vec<_>>();
+        let mut wake = vec![u64::MAX; nsched * wake_stride];
+        for warp in &warps {
+            wake[warp.wake_slot] = 0;
+        }
+        let table = OpTable::new(&program, cfg.register_banks);
         let slot_count = behavior.slot_count(cfg.max_warps, cfg.simd_lanes);
         let mut machine = MachineState::new(scripts, cfg.max_warps, cfg.simd_lanes, slot_count);
         behavior.initialize(&mut machine);
         let mem = MemoryHierarchy::new(&cfg);
         let banks = RegisterBanks::new(cfg.register_banks);
-        let sched_current = (0..cfg.warp_schedulers).collect();
-        let sched_warps = (0..cfg.warp_schedulers)
-            .map(|s| cfg.max_warps.saturating_sub(s).div_ceil(cfg.warp_schedulers))
-            .collect();
+        let sched_current = vec![0; nsched];
+        let sched_warps =
+            (0..nsched).map(|s| cfg.max_warps.saturating_sub(s).div_ceil(nsched)).collect();
         let block_counters = vec![(0, 0); program.blocks().len()];
         let issue_limit = cfg.issues_per_scheduler();
         let live_warps = cfg.max_warps;
         Simulation {
             cfg,
             program,
+            table,
             behavior,
             special,
             machine,
             mem,
             banks,
-            wake: vec![0; live_warps],
+            wake,
+            wake_stride,
             live_warps,
             issue_limit,
             sched_warps,
@@ -628,7 +738,7 @@ impl<'w> Simulation<'w> {
                 // `reg_ready` ever falls, so the warp's cached operand wait
                 // is stale. An exited warp stays asleep for good.
                 if !warp.exited {
-                    self.wake[entry.warp] = warp.blocked_until;
+                    self.wake[warp.wake_slot] = warp.blocked_until;
                 }
                 if let Some(attr) = &mut self.attr {
                     attr.producers[entry.warp][d as usize] =
@@ -776,11 +886,11 @@ impl<'w> Simulation<'w> {
                 warp.blocked_until
             } else {
                 let top = warp.effective_top();
-                match self.program.block(top.pc).ops.get(top.op_idx) {
+                match self.table.get(top.pc, top.op_idx) {
                     None => now, // terminators always issue
                     Some(op) => {
                         let mut t = now;
-                        for r in op.sources().chain(op.dst) {
+                        for &r in op.regs() {
                             t = t.max(warp.reg_ready[r as usize]);
                         }
                         t
@@ -824,8 +934,8 @@ impl<'w> Simulation<'w> {
                 continue;
             }
             let top = warp.effective_top();
-            if let Some(op) = self.program.block(top.pc).ops.get(top.op_idx) {
-                for r in op.sources().chain(op.dst) {
+            if let Some(op) = self.table.get(top.pc, top.op_idx) {
+                for &r in op.regs() {
                     let ready = warp.reg_ready[r as usize];
                     if ready > now {
                         t = t.min(ready);
@@ -850,7 +960,7 @@ impl<'w> Simulation<'w> {
         let attr = self.attr.as_mut().expect("telemetry attached");
         for (w, warp) in self.warps.iter().enumerate() {
             attr.buckets[w] = Self::warp_bucket(
-                &self.program,
+                &self.table,
                 warp,
                 &attr.producers[w],
                 attr.block_reason[w],
@@ -873,7 +983,7 @@ impl<'w> Simulation<'w> {
         let now = self.cycle;
         for (w, warp) in self.warps.iter().enumerate() {
             attr.buckets[w] = Self::warp_bucket(
-                &self.program,
+                &self.table,
                 warp,
                 &attr.producers[w],
                 attr.block_reason[w],
@@ -891,7 +1001,7 @@ impl<'w> Simulation<'w> {
     /// The bucket one warp-cycle is charged to — shared by the per-cycle
     /// pass and the fast path's bulk span charge.
     fn warp_bucket(
-        program: &Program,
+        table: &OpTable,
         warp: &WarpTiming,
         producers: &[RegProducer; TRACKED_REGS],
         reason: BlockReason,
@@ -917,13 +1027,12 @@ impl<'w> Simulation<'w> {
             // No explicit block: consult the scoreboard for the next op
             // the warp would execute.
             let top = warp.effective_top();
-            let block = program.block(top.pc);
-            match block.ops.get(top.op_idx) {
+            match table.get(top.pc, top.op_idx) {
                 None => StallBucket::Idle, // ready at the terminator
                 Some(op) => {
                     // The binding operand is the one released last.
                     let mut worst: Option<(u64, StallBucket)> = None;
-                    for r in op.sources().chain(op.dst) {
+                    for &r in op.regs() {
                         let ready = warp.reg_ready[r as usize];
                         if ready <= now {
                             continue;
@@ -1054,55 +1163,75 @@ impl<'w> Simulation<'w> {
 
     /// One scheduler's issue attempt for this cycle.
     ///
-    /// A scheduler owns warps `w ≡ sched (mod warp_schedulers)`, i.e. warp
-    /// `i` of scheduler `sched` is `sched + i * nsched` — computed on the
-    /// fly so the candidate scan allocates nothing.
+    /// A scheduler owns warps `w ≡ sched (mod warp_schedulers)`: warp `i`
+    /// of scheduler `sched` is `sched + i * nsched`, and its wake entry is
+    /// `wake[sched * wake_stride + i]`. Candidate order by policy: GTO
+    /// prefers the current (greedy) warp, then the oldest; LRR rotates the
+    /// preferred warp every cycle.
     fn schedule(&mut self, sched: usize) {
-        let nsched = self.cfg.warp_schedulers;
-        let n = self.sched_warps[sched];
-        if n == 0 {
-            return;
-        }
-        // Candidate order by policy: GTO prefers the current (greedy) warp
-        // then the oldest; LRR rotates the preferred warp every cycle.
         match self.cfg.scheduler_policy {
             crate::config::SchedulerPolicy::GreedyThenOldest => {
                 let current = self.sched_current[sched];
-                debug_assert_eq!(current % nsched, sched, "greedy warp owned by its scheduler");
-                if self.try_schedule_warp(sched, current) {
+                if self.wake[sched * self.wake_stride + current] <= self.cycle
+                    && self.try_schedule_warp(sched, current)
+                {
                     return;
                 }
-                for i in 0..n {
-                    let w = sched + i * nsched;
-                    if w != current && self.try_schedule_warp(sched, w) {
-                        return;
-                    }
-                }
+                let ready = self.ready_mask(sched) & !(1 << current);
+                self.try_ready(sched, ready);
             }
             crate::config::SchedulerPolicy::LooseRoundRobin => {
-                let start = (self.cycle as usize) % n;
-                for i in 0..n {
-                    let w = sched + ((start + i) % n) * nsched;
-                    if self.try_schedule_warp(sched, w) {
-                        return;
-                    }
+                let ready = self.ready_mask(sched);
+                if ready == 0 {
+                    return; // also covers a scheduler that owns no warps
+                }
+                let start = (self.cycle as usize) % self.sched_warps[sched];
+                let from_start = ready & (u64::MAX << start);
+                if !self.try_ready(sched, from_start) {
+                    self.try_ready(sched, ready & !from_start);
                 }
             }
         }
     }
 
-    /// Attempt to issue from candidate warp `w`; true ends the scan.
-    #[inline]
-    fn try_schedule_warp(&mut self, sched: usize, w: usize) -> bool {
-        if self.wake[w] > self.cycle {
-            return false;
+    /// Bit `i` set iff warp `i` of `sched` is awake this cycle, built
+    /// without branches from the scheduler's run of the wake table.
+    ///
+    /// A mask built during a scan stays exact for the rest of it: trying a
+    /// candidate changes only that candidate's own wake entry, and each
+    /// candidate is tried at most once per scan.
+    fn ready_mask(&self, sched: usize) -> u64 {
+        let base = sched * self.wake_stride;
+        let now = self.cycle;
+        let mut ready = 0u64;
+        for (i, &t) in self.wake[base..base + self.sched_warps[sched]].iter().enumerate() {
+            ready |= u64::from(t <= now) << i;
         }
-        let issued = self.issue_from_warp(w);
-        if issued > 0 {
+        ready
+    }
+
+    /// Try the ready warps of `sched` named by `mask`, lowest index first;
+    /// true once one issues.
+    fn try_ready(&mut self, sched: usize, mut mask: u64) -> bool {
+        while mask != 0 {
+            if self.try_schedule_warp(sched, mask.trailing_zeros() as usize) {
+                return true;
+            }
+            mask &= mask - 1;
+        }
+        false
+    }
+
+    /// Attempt to issue from warp `i` of scheduler `sched`, which the ready
+    /// mask says is awake; true ends the scan.
+    #[inline]
+    fn try_schedule_warp(&mut self, sched: usize, i: usize) -> bool {
+        let w = sched + i * self.cfg.warp_schedulers;
+        if self.issue_from_warp(w) > 0 {
             if let Some(attr) = &mut self.attr {
                 attr.issued[w] = true;
             }
-            self.sched_current[sched] = w;
+            self.sched_current[sched] = i;
             return true;
         }
         false
@@ -1117,19 +1246,16 @@ impl<'w> Simulation<'w> {
         while issued < limit {
             self.warps[w].settle();
             let top = *self.warps[w].top();
-            let block = self.program.block(top.pc);
-            if top.op_idx < block.ops.len() {
-                let op = block.ops[top.op_idx];
-                // Dual-issue restriction: the second op must not read the
-                // first op's (not yet ready) result, and specials issue alone.
+            if let Some(&op) = self.table.get(top.pc, top.op_idx) {
+                // Dual-issue restriction: the second op must not read or
+                // write the first op's (not yet ready) result, and specials
+                // issue alone.
                 if issued > 0 {
                     if matches!(op.kind, OpKind::Special { .. }) {
                         break;
                     }
-                    if let Some(d) = last_dst {
-                        if op.sources().any(|s| s == d) || op.dst == Some(d) {
-                            break;
-                        }
+                    if last_dst.is_some_and(|d| op.regs().contains(&d)) {
+                        break;
                     }
                 }
                 let ready_at = self.operands_ready_at(w, &op);
@@ -1137,7 +1263,8 @@ impl<'w> Simulation<'w> {
                     // Nothing but this warp's own issue (or a chip-mode
                     // response) changes its stack or scoreboard, so it
                     // sleeps until the operands are in.
-                    self.wake[w] = ready_at.max(self.warps[w].blocked_until);
+                    let warp = &self.warps[w];
+                    self.wake[warp.wake_slot] = ready_at.max(warp.blocked_until);
                     break;
                 }
                 match self.try_issue_op(w, &op, top.mask) {
@@ -1179,36 +1306,24 @@ impl<'w> Simulation<'w> {
 
     /// Scoreboard check: the cycle at which all of `op`'s sources and its
     /// destination are ready (the op may issue iff this is `<= cycle`).
-    fn operands_ready_at(&self, w: usize, op: &MicroOp) -> u64 {
+    fn operands_ready_at(&self, w: usize, op: &DecodedOp) -> u64 {
         let ready = &self.warps[w].reg_ready;
-        op.sources().chain(op.dst).map(|r| ready[r as usize]).max().unwrap_or(0)
+        op.regs().iter().fold(0, |t, &r| t.max(ready[r as usize]))
     }
 
     /// Block warp `w` from issuing before cycle `until`. Every write of
     /// `blocked_until` goes through here so the wake table stays exact.
     fn block_until(&mut self, w: usize, until: u64) {
-        self.warps[w].blocked_until = until;
-        self.wake[w] = until;
+        let warp = &mut self.warps[w];
+        warp.blocked_until = until;
+        self.wake[warp.wake_slot] = until;
     }
 
     /// Issue one micro-op for warp `w` under `mask`.
-    fn try_issue_op(&mut self, w: usize, op: &MicroOp, mask: u32) -> IssueResult {
+    fn try_issue_op(&mut self, w: usize, op: &DecodedOp, mask: u32) -> IssueResult {
         let now = self.cycle;
         let live = mask & self.full_mask;
         debug_assert_ne!(live, 0, "issue with empty mask");
-        // Active lanes on the stack: at most 32 (config-validated). A
-        // special op addresses the unit, not lanes, so it needs no list.
-        let mut active_buf = [0usize; 32];
-        let mut na = 0;
-        if !matches!(op.kind, OpKind::Special { .. }) {
-            let mut bits = live;
-            while bits != 0 {
-                active_buf[na] = bits.trailing_zeros() as usize;
-                na += 1;
-                bits &= bits - 1;
-            }
-        }
-        let active = &active_buf[..na];
         #[cfg(feature = "validate")]
         {
             assert_ne!(mask, 0, "validate: issue with empty active mask");
@@ -1243,15 +1358,18 @@ impl<'w> Simulation<'w> {
                         if let Some(d) = op.dst {
                             let ready = now + self.cfg.alu_latency as u64;
                             self.warps[w].reg_ready[d as usize] = ready;
-                            self.banks.write(w, d);
+                            self.banks.write();
                             self.note_producer(w, d, false, false, ready);
                         }
                     }
                 }
             }
             OpKind::Effect { token } => {
-                for &lane in active {
+                let mut bits = live;
+                while bits != 0 {
+                    let lane = bits.trailing_zeros() as usize;
                     self.behavior.apply_effect(token, w, lane, &mut self.machine);
+                    bits &= bits - 1;
                 }
             }
             OpKind::Alu { latency } => {
@@ -1259,13 +1377,13 @@ impl<'w> Simulation<'w> {
                 if let Some(d) = op.dst {
                     let base = now + latency as u64;
                     self.warps[w].reg_ready[d as usize] = base + extra as u64;
-                    self.banks.write(w, d);
+                    self.banks.write();
                     self.note_producer(w, d, false, false, base);
                 }
             }
             OpKind::Load { space, addr } => {
                 let extra = self.collect_operands(w, op);
-                let (ready, mshr_queued) = self.memory_access(w, space, addr, active, true);
+                let (ready, mshr_queued) = self.memory_access(w, space, addr, live, true);
                 if ready == u64::MAX {
                     // Chip mode, L1 miss(es): the shared memory system
                     // answers later. Park the destination at the sentinel
@@ -1273,20 +1391,20 @@ impl<'w> Simulation<'w> {
                     // applied when the last response lands).
                     if let Some(d) = op.dst {
                         self.warps[w].reg_ready[d as usize] = u64::MAX;
-                        self.banks.write(w, d);
+                        self.banks.write();
                         self.note_producer(w, d, true, false, u64::MAX);
                     }
                     self.chip_bind_load(w, op.dst, extra);
                 } else if let Some(d) = op.dst {
                     self.warps[w].reg_ready[d as usize] = ready + extra as u64;
-                    self.banks.write(w, d);
+                    self.banks.write();
                     self.note_producer(w, d, true, mshr_queued, ready);
                 }
                 self.stats.loads += 1;
             }
             OpKind::Store { space, addr } => {
                 let _extra = self.collect_operands(w, op);
-                let _ = self.memory_access(w, space, addr, active, false);
+                let _ = self.memory_access(w, space, addr, live, false);
                 self.stats.stores += 1;
             }
         }
@@ -1310,23 +1428,25 @@ impl<'w> Simulation<'w> {
 
     /// Read source operands through the banked register file; returns extra
     /// operand-collection cycles caused by bank conflicts.
-    fn collect_operands(&mut self, w: usize, op: &MicroOp) -> u32 {
+    fn collect_operands(&mut self, w: usize, op: &DecodedOp) -> u32 {
+        let off = self.warps[w].bank_off;
         let mut extra = 0;
-        for s in op.sources() {
-            extra += self.banks.read(w, s);
+        for &b in op.src_banks() {
+            extra += self.banks.read(self.banks.bank_at(b as usize, off));
         }
         extra
     }
 
-    /// Coalesce the active lanes' addresses and access the hierarchy;
-    /// returns the cycle the last line's data arrives plus whether any
-    /// line's miss had to queue for an MSHR (telemetry attribution).
+    /// Coalesce the addresses of the lanes in `mask` and access the
+    /// hierarchy; returns the cycle the last line's data arrives plus
+    /// whether any line's miss had to queue for an MSHR (telemetry
+    /// attribution).
     fn memory_access(
         &mut self,
         w: usize,
         space: MemSpace,
         addr_token: u16,
-        active: &[usize],
+        mask: u32,
         is_load: bool,
     ) -> (u64, bool) {
         let now = self.cycle;
@@ -1334,8 +1454,11 @@ impl<'w> Simulation<'w> {
         let mut line_buf = [0u64; 32];
         let mut nl = 0;
         let mut spawn_banks = [0u32; 32];
-        for &lane in active {
-            let addr = self.behavior.eval_addr(addr_token, w, lane, &self.machine);
+        let mut bits = mask;
+        while bits != 0 {
+            let l = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let addr = self.behavior.eval_addr(addr_token, w, l, &self.machine);
             if space == MemSpace::Spawn {
                 spawn_banks[(addr / 4 % 32) as usize] += 1;
             }
@@ -1449,20 +1572,14 @@ impl<'w> Simulation<'w> {
                 }
             }
             Terminator::Exit => {
-                self.warps[w].exited = true;
-                self.wake[w] = u64::MAX;
+                let warp = &mut self.warps[w];
+                warp.exited = true;
+                self.wake[warp.wake_slot] = u64::MAX;
                 self.live_warps -= 1;
             }
             Terminator::Branch { cond, on_true, on_false, reconverge } => {
-                let mut t_mask = 0u32;
-                let mut bits = mask & self.full_mask;
-                while bits != 0 {
-                    let l = bits.trailing_zeros() as usize;
-                    if self.behavior.eval_cond(cond, w, l, &self.machine) {
-                        t_mask |= 1 << l;
-                    }
-                    bits &= bits - 1;
-                }
+                let t_mask =
+                    self.behavior.eval_cond_mask(cond, w, mask & self.full_mask, &self.machine);
                 let f_mask = mask & !t_mask;
                 #[cfg(feature = "validate")]
                 {
@@ -1533,6 +1650,7 @@ enum IssueResult {
 mod tests {
     use super::*;
     use crate::behavior::NullSpecial;
+    use crate::config::SchedulerPolicy;
     use crate::isa::MicroOp;
     use crate::program::Block;
     use drs_trace::{RayScript, Step, Termination};
@@ -1727,6 +1845,62 @@ mod tests {
         );
         let stats = sim.run().expect("completes");
         assert!(stats.l1t.hits > 0, "expected texture-cache hits");
+    }
+
+    #[test]
+    fn decoded_bank_offsets_match_bank_of() {
+        // Every register appears as a source; 64 warps cover every
+        // warp offset at each bank count (5 is not a power of two).
+        let ops = (0..TRACKED_REGS as u8)
+            .collect::<Vec<_>>()
+            .chunks(3)
+            .map(|srcs| MicroOp::alu(0, srcs, 1))
+            .collect();
+        let program = Program::new(vec![Block::new("all_regs", ops, Terminator::Exit)]);
+        let scripts: Vec<RayScript> = vec![];
+        for banks in [1, 5, 32] {
+            let cfg = GpuConfig { register_banks: banks, ..small_cfg(64) };
+            let sim = Simulation::new(
+                cfg,
+                program.clone(),
+                Box::new(ToyBehavior),
+                Box::new(NullSpecial),
+                &scripts,
+            );
+            let mut seen = [false; TRACKED_REGS];
+            for op in &sim.table.ops {
+                for (&reg, &off) in op.regs().iter().zip(op.src_banks()) {
+                    seen[reg as usize] = true;
+                    for (w, warp) in sim.warps.iter().enumerate() {
+                        assert_eq!(
+                            sim.banks.bank_at(off as usize, warp.bank_off),
+                            sim.banks.bank_of(w, reg),
+                            "warp {w}, r{reg}, {banks} banks"
+                        );
+                    }
+                }
+            }
+            assert!(seen.iter().all(|&s| s), "every register decoded as a source");
+        }
+    }
+
+    #[test]
+    fn schedulers_without_warps_idle_under_both_policies() {
+        // Two warps over four schedulers: two schedulers own no warp.
+        let scripts = scripts_uniform(64, 4);
+        for policy in [SchedulerPolicy::GreedyThenOldest, SchedulerPolicy::LooseRoundRobin] {
+            let cfg = GpuConfig { scheduler_policy: policy, ..small_cfg(2) };
+            let stats = Simulation::new(
+                cfg,
+                toy_program(),
+                Box::new(ToyBehavior),
+                Box::new(NullSpecial),
+                &scripts,
+            )
+            .run()
+            .expect("completes");
+            assert_eq!(stats.rays_completed, 64, "{policy:?}");
+        }
     }
 
     /// Special unit that stalls the first `n` attempts.

@@ -50,9 +50,12 @@ mod stats;
 mod telemetry;
 
 pub use banks::RegisterBanks;
-pub use behavior::{KernelBehavior, NullSpecial, SpecialOutcome, SpecialUnit};
+pub use behavior::{eval_cond_lanes, KernelBehavior, NullSpecial, SpecialOutcome, SpecialUnit};
 pub use cache::{Cache, CacheConfig, CacheStats, MemoryHierarchy};
-pub use config::{ChipConfig, ChipConfigError, GpuConfig, SchedulerPolicy, L2_TOTAL_BYTES};
+pub use config::{
+    ChipConfig, ChipConfigError, GpuConfig, SchedulerPolicy, L2_TOTAL_BYTES,
+    MAX_WARPS_PER_SCHEDULER,
+};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use engine::{PortRequest, Simulation, TRACKED_REGS};
 pub use error::{FrameDump, SimError, SimErrorKind, WarpDump, WarpDumpEntry};

@@ -2,7 +2,7 @@
 //! timing results without crashing the simulator.
 
 use crate::diag::{Check, Diagnostic, Report};
-use drs_sim::GpuConfig;
+use drs_sim::{GpuConfig, MAX_WARPS_PER_SCHEDULER};
 
 fn cache_sets(bytes: usize, line: usize, ways: usize) -> usize {
     (bytes / line.max(1) / ways.max(1)).max(1)
@@ -34,6 +34,19 @@ pub fn verify_config(cfg: &GpuConfig) -> Report {
                 "{} schedulers cannot share {} dispatch units (each scheduler needs \
                  at least one)",
                 cfg.warp_schedulers, cfg.dispatch_units
+            ),
+        ));
+    }
+    if cfg.warps_per_scheduler() > MAX_WARPS_PER_SCHEDULER {
+        report.push(Diagnostic::new(
+            Check::SchedulerWarpOverflow,
+            None,
+            format!(
+                "{} warps over {} schedulers put {} warps on one scheduler; its ready \
+                 mask holds {MAX_WARPS_PER_SCHEDULER}",
+                cfg.max_warps,
+                cfg.warp_schedulers,
+                cfg.warps_per_scheduler()
             ),
         ));
     }

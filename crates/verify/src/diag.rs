@@ -60,6 +60,8 @@ pub enum Check {
     BadLaneCount,
     /// Zero resident warps.
     NoWarps,
+    /// More warps on one scheduler than its ready mask holds.
+    SchedulerWarpOverflow,
 }
 
 impl Check {
@@ -85,6 +87,7 @@ impl Check {
             Check::SchedulerOversubscribed => "scheduler-oversubscribed",
             Check::BadLaneCount => "bad-lane-count",
             Check::NoWarps => "no-warps",
+            Check::SchedulerWarpOverflow => "scheduler-warp-overflow",
         }
     }
 

@@ -325,4 +325,15 @@ mod tests {
         assert!(r.has(Check::BankLaneMismatch));
         assert!(!r.is_clean());
     }
+
+    #[test]
+    fn scheduler_warp_overflow_is_an_error() {
+        let mut cfg = GpuConfig::gtx780();
+        cfg.max_warps = cfg.warp_schedulers * drs_sim::MAX_WARPS_PER_SCHEDULER;
+        assert!(!verify_config(&cfg).has(Check::SchedulerWarpOverflow));
+        cfg.max_warps += 1;
+        let r = verify_config(&cfg);
+        assert!(r.has(Check::SchedulerWarpOverflow));
+        assert!(!r.is_clean(), "{r}");
+    }
 }
