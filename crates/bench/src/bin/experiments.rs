@@ -28,8 +28,7 @@ use drs_core::overhead::{dmk_spawn_memory_bytes, paper, tbc_warp_buffer_bytes, D
 use drs_core::DrsConfig;
 use drs_harness::{
     figures, run_cell, run_jobs, CaptureMode, CellConfig, CellResult, CheckpointSpec, ChipConfig,
-    Client, ClientError, JobId, Method, ResultStore, ResultsFile, RunOptions, Scale, Server,
-    ServerOptions, SimJob, StreamCache, WorkloadSpec,
+    JobId, Method, ResultStore, ResultsFile, RunOptions, Scale, SimJob, StreamCache, WorkloadSpec,
 };
 use drs_scene::SceneKind;
 use drs_sim::{ActiveHistogram, GpuConfig};
@@ -90,14 +89,6 @@ fn main() {
     }
     if cli.mode == "verify" {
         verify_mode(&cli);
-        return;
-    }
-    if cli.mode == "serve" {
-        serve_mode(&cli, &scale);
-        return;
-    }
-    if cli.mode == "submit" {
-        submit_mode(&cli);
         return;
     }
 
@@ -345,12 +336,6 @@ fn list_modes(scale: &Scale) {
                 0,
                 VERIFY_KERNELS.len()
             ),
-            "serve" => {
-                println!("{:10} {:>6}  crash-safe experiment service on --socket", mode, 0);
-            }
-            "submit" => {
-                println!("{:10} {:>6}  client: submit --figure to a running server", mode, 0);
-            }
             _ => match figures::by_name(mode, scale) {
                 Some(set) => {
                     let workloads = set.distinct_workloads();
@@ -507,74 +492,6 @@ fn verify_mode(cli: &cli::Cli) {
     }
     if total_errors > 0 {
         eprintln!("error: {total_errors} error-severity diagnostic(s); see {}", out.display());
-        std::process::exit(1);
-    }
-}
-
-/// `serve` mode: run the crash-safe experiment service until SIGTERM.
-/// Every finished cell is persisted to the result store as it completes,
-/// so a crash at any instant loses at most the in-flight cells and a
-/// restarted server resumes from the store with byte-identical results.
-fn serve_mode(cli: &cli::Cli, scale: &Scale) {
-    let opts = ServerOptions {
-        store_dir: cli.store_dir.clone().unwrap_or_else(ResultStore::default_dir),
-        cache_limit: cli.cache_limit,
-        workers: cli.workers,
-        queue_limit: cli.queue,
-        scale: *scale,
-        fastpath: cli.fastpath,
-        retries: cli.retries,
-        faults: cli.inject.clone(),
-        progress: true,
-        ..ServerOptions::new(&cli.socket)
-    };
-    if let Err(e) = Server::run(opts) {
-        eprintln!("error: could not start server on {}: {e}", cli.socket.display());
-        std::process::exit(1);
-    }
-}
-
-/// `submit` mode: client for a running server. Submits `--figure`,
-/// streams per-cell progress to stderr, fetches the deterministic results
-/// document into `--out`. Exit 1 when any cell failed, the server refused
-/// the submission, or the connection was lost.
-fn submit_mode(cli: &cli::Cli) {
-    let Some(figure) = &cli.figure else {
-        eprintln!("error: submit needs --figure (e.g. --figure fig2)\n\n{}", cli::USAGE);
-        std::process::exit(2);
-    };
-    let fail = |e: ClientError| -> ! {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    };
-    let mut client = Client::connect(&cli.socket, None).unwrap_or_else(|e| {
-        let why = if let ClientError::Io(io) = &e { io.to_string() } else { e.to_string() };
-        eprintln!(
-            "error: could not connect to {}: {why}\n(start the server with `experiments serve`)",
-            cli.socket.display()
-        );
-        std::process::exit(1);
-    });
-    let submitted = client.submit(figure).unwrap_or_else(|e| fail(e));
-    let ticket = submitted.ticket;
-    eprintln!("[submitted {figure} as ticket {ticket} ({} cells)]", submitted.jobs);
-    let failed = client
-        .wait(ticket, |ev| {
-            if cli.progress {
-                let (done, total) = (ev.num("done").unwrap_or(0), ev.num("total").unwrap_or(0));
-                let name = ev.str("cell").unwrap_or("?");
-                eprintln!("[{done}/{total}] {name} ({})", ev.str("source").unwrap_or("?"));
-            }
-        })
-        .unwrap_or_else(|e| fail(e));
-    let doc = client.fetch(ticket).unwrap_or_else(|e| fail(e));
-    if let Err(e) = drs_harness::write_text(&cli.out, &doc) {
-        eprintln!("error: could not write {}: {e}", cli.out.display());
-        std::process::exit(1);
-    }
-    println!("[ticket {ticket} results -> {}]", cli.out.display());
-    if failed > 0 {
-        eprintln!("error: {failed} cell(s) failed; see the failure records in the results");
         std::process::exit(1);
     }
 }

@@ -6,16 +6,14 @@
 use drs_harness::FaultPlan;
 use std::path::PathBuf;
 
-/// Every mode the binary accepts, in `all`-run order. `report`, `verify`,
-/// `serve`, and `submit` are standalone utilities: `report` renders an
-/// existing `BENCH_experiments.json` into `RESULTS.md`; `verify` runs the
-/// static analyses over every registered kernel program and writes a
-/// machine-readable report; `serve` runs the crash-safe experiment
-/// service on a Unix socket; `submit` is its client. None is part of
-/// `all`.
-pub const MODES: [&str; 15] = [
+/// Every mode the binary accepts, in `all`-run order. `report` and
+/// `verify` are standalone utilities: `report` renders an existing
+/// `BENCH_experiments.json` into `RESULTS.md`; `verify` runs the static
+/// analyses over every registered kernel program and writes a
+/// machine-readable report. Neither is part of `all`.
+pub const MODES: [&str; 13] = [
     "table1", "fig2", "fig8", "fig9", "table2", "fig10", "fig11", "overhead", "ablation", "energy",
-    "report", "verify", "serve", "submit", "all",
+    "report", "verify", "all",
 ];
 
 /// Usage text printed on `--help` and on flag errors.
@@ -38,15 +36,6 @@ Modes:
                    BENCH_verify.json); exits 1 on any error-severity
                    diagnostic or when a shuffle live set differs from the
                    kernel's declared per-ray register count
-  serve            run the crash-safe experiment service on --socket:
-                   clients submit figure grids, finished cells are
-                   persisted to the result store as they complete, and a
-                   restart after any crash resumes from the store with
-                   byte-identical results; SIGTERM drains gracefully
-  submit           client for a running server: submit --figure, stream
-                   per-cell progress, fetch the deterministic results
-                   document into --out; exits 1 when any cell failed or
-                   the server shed the submission (busy/draining)
 
 Options:
   --jobs N         worker threads (default: available parallelism)
@@ -87,9 +76,9 @@ Options:
                    (results are bit-identical for any value; default: 1)
   --inject SPEC    deterministic fault injection, e.g.
                    'seed=7,panic@1,cache~4x1,watchdog@2,budget@0'
-                   (kinds panic|cache|watchdog|budget|chipcfg|store|
-                   disconnect; @IDX by job index, ~N seed-addressed
-                   one-in-N; xT = first T attempts only)
+                   (kinds panic|cache|watchdog|budget|chipcfg|store;
+                   @IDX by job index, ~N seed-addressed one-in-N;
+                   xT = first T attempts only)
   --store          memoize finished cells in the durable result store; a
                    warm rerun of the same grid does zero simulation work
                    and produces a byte-identical results file
@@ -102,12 +91,6 @@ Options:
                    512M); past it the least-recently-used entries are
                    evicted after each store (the just-written entry is
                    never evicted)
-  --socket PATH    serve/submit: Unix-domain socket path
-                   (default: target/drs-serve.sock)
-  --figure NAME    submit: the figure grid to submit (e.g. fig2)
-  --queue N        serve: admission limit in undispatched cells across
-                   all tickets; submissions past it get a typed 'busy'
-                   response instead of queueing unboundedly (default 4096)
   --list           list modes with their job counts and exit
   -h, --help       show this help
 
@@ -166,12 +149,6 @@ pub struct Cli {
     pub store_dir: Option<PathBuf>,
     /// Capture-cache size budget in bytes (`--cache-limit`, K/M/G suffix).
     pub cache_limit: Option<u64>,
-    /// Unix-domain socket path for `serve`/`submit`.
-    pub socket: PathBuf,
-    /// Figure to submit (`submit` mode).
-    pub figure: Option<String>,
-    /// Server admission limit in undispatched cells (`serve` mode).
-    pub queue: usize,
     /// List modes instead of running.
     pub list: bool,
     /// Show usage instead of running.
@@ -202,9 +179,6 @@ impl Default for Cli {
             store: false,
             store_dir: None,
             cache_limit: None,
-            socket: PathBuf::from("target/drs-serve.sock"),
-            figure: None,
-            queue: 4096,
             list: false,
             help: false,
         }
@@ -363,16 +337,6 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
             "--cache-limit" => {
                 let v = value("--cache-limit")?;
                 cli.cache_limit = Some(parse_size(&v).map_err(|e| format!("--cache-limit: {e}"))?);
-            }
-            "--socket" => cli.socket = PathBuf::from(value("--socket")?),
-            "--figure" => cli.figure = Some(value("--figure")?),
-            "--queue" => {
-                let v = value("--queue")?;
-                cli.queue = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("--queue expects a positive integer, got '{v}'"))?;
             }
             "--list" => cli.list = true,
             "-h" | "--help" => cli.help = true,
@@ -540,45 +504,17 @@ mod tests {
     }
 
     #[test]
-    fn store_and_service_flags_both_syntaxes() {
-        let a = p(&[
-            "fig2",
-            "--store",
-            "--store-dir",
-            "s",
-            "--cache-limit",
-            "512M",
-            "--socket",
-            "x.sock",
-            "--queue",
-            "8",
-        ])
-        .unwrap();
-        let b = p(&[
-            "fig2",
-            "--store",
-            "--store-dir=s",
-            "--cache-limit=512M",
-            "--socket=x.sock",
-            "--queue=8",
-        ])
-        .unwrap();
+    fn store_flags_both_syntaxes() {
+        let a = p(&["fig2", "--store", "--store-dir", "s", "--cache-limit", "512M"]).unwrap();
+        let b = p(&["fig2", "--store", "--store-dir=s", "--cache-limit=512M"]).unwrap();
         assert_eq!(a, b);
         assert!(a.store);
         assert_eq!(a.store_dir, Some(PathBuf::from("s")));
         assert_eq!(a.cache_limit, Some(512 << 20));
-        assert_eq!(a.socket, PathBuf::from("x.sock"));
-        assert_eq!(a.queue, 8);
         let d = p(&[]).unwrap();
         assert!(!d.store);
         assert_eq!(d.store_dir, None);
         assert_eq!(d.cache_limit, None);
-        assert_eq!(d.socket, PathBuf::from("target/drs-serve.sock"));
-        assert_eq!(d.figure, None);
-        assert_eq!(d.queue, 4096);
-        let sub = p(&["submit", "--figure", "fig2"]).unwrap();
-        assert_eq!(sub.mode, "submit");
-        assert_eq!(sub.figure.as_deref(), Some("fig2"));
     }
 
     #[test]
@@ -629,6 +565,21 @@ mod tests {
             let err = p(args).unwrap_err();
             assert!(err.contains(needle), "args {args:?}: '{err}' missing '{needle}'");
         }
+    }
+
+    #[test]
+    fn removed_service_interface_is_rejected() {
+        for mode in ["serve", "submit"] {
+            let err = p(&[mode]).unwrap_err();
+            assert!(err.contains("unknown mode"), "{mode}: {err}");
+        }
+        for (stem, value) in [("socket", "x"), ("figure", "fig2"), ("queue", "8")] {
+            let flag = format!("--{stem}");
+            let err = p(&[&flag, value]).unwrap_err();
+            assert!(err.contains("unknown flag"), "{flag}: {err}");
+        }
+        let err = p(&["--inject", "disconnect@1"]).unwrap_err();
+        assert!(err.contains("bad fault spec 'disconnect@1'"), "{err}");
     }
 
     #[test]

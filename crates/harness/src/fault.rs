@@ -44,11 +44,6 @@ pub enum FaultKind {
     /// quarantine-and-recompute path end-to-end. Absorbed silently when
     /// the run has no store (or the entry does not exist yet).
     StoreCorrupt,
-    /// Server-side: force-close the submitting client's connection while
-    /// streaming this job's progress event. The pool ignores it; only
-    /// `experiments serve` acts on it (work continues, results still
-    /// land in the store).
-    ClientDisconnect,
 }
 
 impl FaultKind {
@@ -61,7 +56,6 @@ impl FaultKind {
             FaultKind::BudgetExhaust => "budget",
             FaultKind::ChipConfigCorrupt => "chipcfg",
             FaultKind::StoreCorrupt => "store",
-            FaultKind::ClientDisconnect => "disconnect",
         }
     }
 
@@ -73,7 +67,6 @@ impl FaultKind {
             "budget" => Some(FaultKind::BudgetExhaust),
             "chipcfg" => Some(FaultKind::ChipConfigCorrupt),
             "store" => Some(FaultKind::StoreCorrupt),
-            "disconnect" => Some(FaultKind::ClientDisconnect),
             _ => None,
         }
     }
@@ -116,7 +109,7 @@ impl fmt::Display for FaultSpecError {
             f,
             "bad fault spec '{}': expected clauses like 'seed=N', 'panic@IDX[xT]' or \
              'watchdog~N[xT]' with kinds \
-             panic|cache|watchdog|budget|chipcfg|store|disconnect",
+             panic|cache|watchdog|budget|chipcfg|store",
             self.0
         )
     }
@@ -201,7 +194,7 @@ mod tests {
     #[test]
     fn parses_every_clause_form() {
         let plan = FaultPlan::parse(
-            "seed=7,panic@1,cache~4x1,watchdog@2x3,budget@0,chipcfg@4,store@5,disconnect~3",
+            "seed=7,panic@1,cache~4x1,watchdog@2x3,budget@0,chipcfg@4,store@5,store~3",
         )
         .unwrap();
         assert_eq!(plan.seed, 7);
@@ -228,7 +221,7 @@ mod tests {
         );
         assert_eq!(
             plan.rules[6],
-            FaultRule { kind: FaultKind::ClientDisconnect, target: Target::OneIn(3), times: None }
+            FaultRule { kind: FaultKind::StoreCorrupt, target: Target::OneIn(3), times: None }
         );
         assert!(FaultPlan::parse("").unwrap().is_empty());
         assert!(FaultPlan::parse("  ").unwrap().is_empty());
@@ -236,9 +229,18 @@ mod tests {
 
     #[test]
     fn rejects_malformed_clauses() {
-        for bad in
-            ["frob@1", "panic", "panic@", "panic@x", "panic~0", "panic@1x0", "seed=x", "@3", "~2"]
-        {
+        for bad in [
+            "frob@1",
+            "panic",
+            "panic@",
+            "panic@x",
+            "panic~0",
+            "panic@1x0",
+            "seed=x",
+            "@3",
+            "~2",
+            "disconnect@1",
+        ] {
             let err = FaultPlan::parse(bad).unwrap_err();
             assert!(err.to_string().contains("bad fault spec"), "{bad}: {err}");
         }

@@ -34,18 +34,6 @@
 //!   stale entries are quarantined and recomputed, never served. The
 //!   same store, scoped to one run ([`CheckpointSpec`]), lets an
 //!   interrupted grid resume with bit-identical merged results.
-//! - **Experiment service** ([`server`]): `experiments serve` exposes
-//!   the pool on a Unix-domain socket with a line-delimited JSON
-//!   protocol — clients submit figure grids, stream per-cell progress,
-//!   and fetch deterministic result documents; admission is bounded,
-//!   scheduling is round-robin across clients, and SIGTERM drains
-//!   gracefully. Each claimed cell runs through the same per-cell path
-//!   as [`run_jobs`] (store lookup, capture memo, simulation,
-//!   persistence), and a ticket's document is the `stats_json` of a
-//!   [`ResultsFile`] built as for a `run_jobs` report, so a served figure
-//!   is byte-identical to a pooled one. Crash recovery rides on the
-//!   result store. [`Client`] is the one protocol client: `experiments
-//!   submit` and the service tests both drive it.
 //! - **Full-chip mode** ([`runner::run_chip_cell`], `drs-chip`): a job
 //!   with [`SimJob::chip`] set runs N per-SM engines against one shared
 //!   L2/MSHR/DRAM memory system instead of a single scaled SMX; the cell
@@ -91,7 +79,6 @@ pub mod job;
 pub mod pool;
 pub mod results;
 pub mod runner;
-pub mod server;
 pub mod store;
 
 pub use cache::{CacheCounters, CacheStoreError, StreamCache};
@@ -101,5 +88,4 @@ pub use job::{fnv1a64, JobId, JobSet, Method, Scale, SimJob, WorkloadSpec};
 pub use pool::{parallel_map, run_jobs, CaptureMode, CheckpointSpec, RunOptions, RunReport};
 pub use results::{write_text, CellFailure, CellResult, ChipSummary, ResultsFile};
 pub use runner::{run_cell, run_chip_cell, CellConfig};
-pub use server::{Client, ClientError, Refusal, Server, ServerControl, ServerOptions};
 pub use store::{ResultStore, StoreCounters, StoreError, StoredCell};

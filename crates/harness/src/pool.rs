@@ -47,7 +47,7 @@ use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Once, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, Once, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Cycle at which an injected [`FaultKind::WatchdogTrip`] fires.
@@ -122,7 +122,8 @@ pub struct RunOptions {
     pub checkpoint: Option<CheckpointSpec>,
     /// Durable result store: clean cells are served from disk before any
     /// capture or simulation happens and persisted after they finish.
-    /// Shared (`Arc`) so a server and its pool read one set of counters.
+    /// Shared (`Arc`) so callers can share one store's counters across
+    /// runs.
     /// Ignored (with a warning) when telemetry is enabled — stored cells
     /// carry counters, not telemetry reports, and must never silently
     /// satisfy an instrumented run.
@@ -270,143 +271,7 @@ where
 
 /// A workload's captured streams, shared by every cell over it; the error
 /// side is the message of a capture that panicked.
-type Capture = Result<Arc<drs_trace::BounceStreams>, String>;
-
-/// The per-cell path shared by [`run_jobs`] and the experiment service:
-/// the result stores a run consults, a capture memo, and the sequence
-/// that turns one job into a finished, persisted [`CellResult`].
-pub(crate) struct Pool<'o> {
-    opts: &'o RunOptions,
-    /// The run-scoped store ([`RunOptions::checkpoint`]).
-    run_store: Option<ResultStore>,
-    /// Serve the run-scoped store's cells (`--resume`).
-    resume: bool,
-    /// The shared durable store ([`RunOptions::store`]).
-    store: Option<&'o ResultStore>,
-    /// One capture per workload content key, run once and kept for the
-    /// pool's lifetime; a capture that panicked stays failed.
-    captures: Mutex<HashMap<u64, Arc<OnceLock<Capture>>>>,
-}
-
-impl<'o> Pool<'o> {
-    pub(crate) fn new(opts: &'o RunOptions) -> Pool<'o> {
-        // Both stores are telemetry-exclusive: stored cells carry counters
-        // only, so serving one would silently drop the reports an
-        // instrumented run exists to collect.
-        let (checkpoint, store) = match &opts.telemetry {
-            Some(_) => {
-                if opts.checkpoint.is_some() {
-                    eprintln!("drs-harness: checkpointing disabled for telemetry runs");
-                }
-                if opts.store.is_some() {
-                    eprintln!("drs-harness: result store disabled for telemetry runs");
-                }
-                (None, None)
-            }
-            None => (opts.checkpoint.as_ref(), opts.store.as_deref()),
-        };
-        Pool {
-            opts,
-            run_store: checkpoint.map(|spec| ResultStore::new(&spec.path)),
-            resume: checkpoint.is_some_and(|spec| spec.resume),
-            store,
-            captures: Mutex::default(),
-        }
-    }
-
-    /// The stored cell for `job` and where it came from: the run-scoped
-    /// store on resume, then the shared store. A planned
-    /// [`FaultKind::StoreCorrupt`] damages the shared entry first, proving
-    /// the quarantine-and-recompute path end to end.
-    pub(crate) fn lookup(&self, index: usize, job: &SimJob) -> Option<(CellResult, &'static str)> {
-        let id = job.id();
-        let resumed = self.run_store.as_ref().filter(|_| self.resume).and_then(|s| s.lookup(id));
-        if let Some(cell) = resumed {
-            return Some((cell.to_cell(*job), "checkpoint"));
-        }
-        let store = self.store?;
-        if self.opts.faults.fault_for(index, id, 1) == Some(FaultKind::StoreCorrupt)
-            && store.scramble(id)
-        {
-            eprintln!("drs-harness: injected store corruption for job {id}");
-        }
-        store.lookup(id).map(|cell| (cell.to_cell(*job), "store"))
-    }
-
-    /// `spec`'s streams: a memo hit, or the capture (from the cache when
-    /// the run has one), run once however many cells ask for it at once.
-    fn capture(&self, spec: &WorkloadSpec) -> Capture {
-        let slot = Arc::clone(
-            self.captures
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .entry(spec.content_key())
-                .or_default(),
-        );
-        slot.get_or_init(|| {
-            catch_quietly(|| match &self.opts.capture {
-                CaptureMode::Uncached => spec.capture(),
-                CaptureMode::Cached(cache) => cache.get_or_capture(spec),
-            })
-            .map(Arc::new)
-        })
-        .clone()
-    }
-
-    /// Simulate `job` over its workload's streams (or record the failed
-    /// capture) and persist the cell to every store the run has. A failed
-    /// write costs durability, never the result.
-    pub(crate) fn simulate(&self, index: usize, job: &SimJob) -> CellResult {
-        let cell = match self.capture(&job.workload) {
-            Ok(streams) => run_one_job(index, job, &streams, self.opts),
-            Err(message) => capture_failure(job, &message),
-        };
-        if let Some(stored) = StoredCell::from_cell(&cell) {
-            for s in self.run_store.iter().chain(self.store) {
-                if let Err(e) = s.store(job.id(), &stored) {
-                    eprintln!(
-                        "drs-harness: store write failed for job {} ({e}); \
-                         the result is complete in memory, only durability was lost",
-                        job.id()
-                    );
-                }
-            }
-        }
-        cell
-    }
-
-    /// The whole per-cell path: the stored cell, else a simulated one
-    /// (source `"sim"`).
-    pub(crate) fn run(&self, index: usize, job: &SimJob) -> (CellResult, &'static str) {
-        self.lookup(index, job).unwrap_or_else(|| (self.simulate(index, job), "sim"))
-    }
-
-    /// A report over `cells` carrying the pool's cache and store counters.
-    pub(crate) fn report(&self, cells: Vec<CellResult>, wall_ms: f64) -> RunReport {
-        let cache = match &self.opts.capture {
-            CaptureMode::Uncached => CacheCounters::default(),
-            CaptureMode::Cached(cache) => cache.counters(),
-        };
-        let run_counters = self.run_store.as_ref().map(ResultStore::counters).unwrap_or_default();
-        RunReport {
-            cells,
-            cache,
-            resumed: run_counters.hits as usize,
-            checkpoint_writes: run_counters.writes,
-            store: self.store.map(ResultStore::counters).unwrap_or_default(),
-            wall_ms,
-        }
-    }
-}
-
-/// The failed cell of a job whose workload capture failed.
-fn capture_failure(job: &SimJob, message: &str) -> CellResult {
-    let message = format!("workload capture failed: {message}");
-    CellResult {
-        failure: Some(CellFailure::new("capture", message, false)),
-        ..CellResult::blank(*job)
-    }
-}
+type Capture = Result<drs_trace::BounceStreams, String>;
 
 /// Execute `jobs` under `opts`, returning per-cell results in job order.
 ///
@@ -416,14 +281,50 @@ fn capture_failure(job: &SimJob, message: &str) -> CellResult {
 /// transient, and recorded per cell — see the module docs.
 pub fn run_jobs(jobs: &[SimJob], opts: &RunOptions) -> RunReport {
     let start = Instant::now();
-    let pool = Pool::new(opts);
+    // Both stores are telemetry-exclusive: stored cells carry counters
+    // only, so serving one would silently drop the reports an
+    // instrumented run exists to collect.
+    let (checkpoint, store) = match &opts.telemetry {
+        Some(_) => {
+            if opts.checkpoint.is_some() {
+                eprintln!("drs-harness: checkpointing disabled for telemetry runs");
+            }
+            if opts.store.is_some() {
+                eprintln!("drs-harness: result store disabled for telemetry runs");
+            }
+            (None, None)
+        }
+        None => (opts.checkpoint.as_ref(), opts.store.as_deref()),
+    };
+    let run_store = checkpoint.map(|spec| ResultStore::new(&spec.path));
+    let resume = checkpoint.is_some_and(|spec| spec.resume);
 
     // Serve what is already on disk before any capture or simulation
-    // happens.
-    let prior: Vec<_> = jobs.iter().enumerate().map(|(i, job)| pool.lookup(i, job)).collect();
+    // happens: the run-scoped store on resume, then the shared store. A
+    // planned [`FaultKind::StoreCorrupt`] damages the shared entry first,
+    // proving the quarantine-and-recompute path end to end.
+    let prior: Vec<Option<(CellResult, &str)>> = jobs
+        .iter()
+        .enumerate()
+        .map(|(i, job)| {
+            let id = job.id();
+            let resumed = run_store.as_ref().filter(|_| resume).and_then(|s| s.lookup(id));
+            if let Some(cell) = resumed {
+                return Some((cell.to_cell(*job), "checkpoint"));
+            }
+            let store = store?;
+            if opts.faults.fault_for(i, id, 1) == Some(FaultKind::StoreCorrupt)
+                && store.scramble(id)
+            {
+                eprintln!("drs-harness: injected store corruption for job {id}");
+            }
+            store.lookup(id).map(|cell| (cell.to_cell(*job), "store"))
+        })
+        .collect();
 
     // Phase 1: capture the distinct workloads still needed (served jobs
-    // contribute nothing to the capture set).
+    // contribute nothing to the capture set), from the cache when the run
+    // has one. A capture that panics fails every cell over it.
     let mut seen = HashSet::new();
     let needed: Vec<WorkloadSpec> = jobs
         .iter()
@@ -431,11 +332,20 @@ pub fn run_jobs(jobs: &[SimJob], opts: &RunOptions) -> RunReport {
         .filter(|(j, served)| served.is_none() && seen.insert(j.workload.content_key()))
         .map(|(j, _)| j.workload)
         .collect();
-    parallel_map(&needed, opts.workers, |_, spec| {
-        let _ = pool.capture(spec);
-    });
+    let captures: HashMap<u64, Capture> = needed
+        .iter()
+        .map(WorkloadSpec::content_key)
+        .zip(parallel_map(&needed, opts.workers, |_, spec| {
+            catch_quietly(|| match &opts.capture {
+                CaptureMode::Uncached => spec.capture(),
+                CaptureMode::Cached(cache) => cache.get_or_capture(spec),
+            })
+        }))
+        .collect();
 
-    // Phase 2: simulate every cell.
+    // Phase 2: simulate every cell and persist each clean one to every
+    // store the run has. A failed write costs durability, never the
+    // result.
     let total = jobs.len();
     let cells = parallel_map(jobs, opts.workers, |i, job| {
         let label =
@@ -449,7 +359,27 @@ pub fn run_jobs(jobs: &[SimJob], opts: &RunOptions) -> RunReport {
         if opts.progress {
             eprintln!("[{}/{total}] start  {label}", i + 1);
         }
-        let cell = pool.simulate(i, job);
+        let cell = match &captures[&job.workload.content_key()] {
+            Ok(streams) => run_one_job(i, job, streams, opts),
+            Err(message) => {
+                let message = format!("workload capture failed: {message}");
+                CellResult {
+                    failure: Some(CellFailure::new("capture", message, false)),
+                    ..CellResult::blank(*job)
+                }
+            }
+        };
+        if let Some(stored) = StoredCell::from_cell(&cell) {
+            for s in run_store.iter().chain(store) {
+                if let Err(e) = s.store(job.id(), &stored) {
+                    eprintln!(
+                        "drs-harness: store write failed for job {} ({e}); \
+                         the result is complete in memory, only durability was lost",
+                        job.id()
+                    );
+                }
+            }
+        }
         if opts.progress {
             match &cell.failure {
                 Some(f) => eprintln!(
@@ -466,19 +396,30 @@ pub fn run_jobs(jobs: &[SimJob], opts: &RunOptions) -> RunReport {
 
     // A fully clean run needs no resume: drop the run's store so the next
     // run starts fresh.
-    if let Some(run_store) = &pool.run_store {
+    if let Some(run_store) = &run_store {
         if cells.iter().all(|c| c.completed && c.failure.is_none()) {
             let _ = std::fs::remove_dir_all(run_store.dir());
         }
     }
-    pool.report(cells, start.elapsed().as_secs_f64() * 1e3)
+    let run_counters = run_store.as_ref().map(ResultStore::counters).unwrap_or_default();
+    RunReport {
+        cells,
+        cache: match &opts.capture {
+            CaptureMode::Uncached => CacheCounters::default(),
+            CaptureMode::Cached(cache) => cache.counters(),
+        },
+        resumed: run_counters.hits as usize,
+        checkpoint_writes: run_counters.writes,
+        store: store.map(ResultStore::counters).unwrap_or_default(),
+        wall_ms: start.elapsed().as_secs_f64() * 1e3,
+    }
 }
 
 /// Run one job to a final [`CellResult`], owning the retry loop.
 fn run_one_job(
     index: usize,
     job: &SimJob,
-    streams: &Arc<drs_trace::BounceStreams>,
+    streams: &drs_trace::BounceStreams,
     opts: &RunOptions,
 ) -> CellResult {
     let job_start = Instant::now();

@@ -227,3 +227,26 @@ fn resuming_a_superset_grid_reuses_exactly_the_shared_cells() {
     assert!(!path.exists());
     assert_eq!(stats_dump("fig2", report), clean_dump);
 }
+
+#[test]
+fn a_panicking_capture_fails_its_cells_not_the_run() {
+    let jobs = tiny_fig2_jobs();
+    let clean = run_jobs(&jobs, &opts());
+    // A zero-ray workload trips the capture's own assertion.
+    let mut broken = jobs.clone();
+    for job in &mut broken[1..3] {
+        job.workload.rays = 0;
+    }
+    let report = run_jobs(&broken, &opts());
+    for (i, (cell, reference)) in report.cells.iter().zip(&clean.cells).enumerate() {
+        if (1..3).contains(&i) {
+            let failure = cell.failure.as_ref().expect("a failed capture fails its cells");
+            assert_eq!(failure.kind, "capture");
+            assert!(failure.message.contains("target_per_bounce must be positive"), "{failure:?}");
+            assert!(!failure.injected);
+        } else {
+            assert!(cell.failure.is_none());
+            assert_eq!(cell.stats, reference.stats, "cell {i} changed next to a failed capture");
+        }
+    }
+}

@@ -410,7 +410,11 @@ impl KernelBehavior for WhileIfKernel {
             // state. Slot states are cache-maintained by the helpers, so
             // this is purely the synchronization point for the DRS control.
             E_SET_STATE => {
-                m.refresh_state(s);
+                debug_assert_eq!(
+                    m.state_cache[s],
+                    m.compute_state(s),
+                    "slot {s}: a helper mutated the slot without refreshing its state"
+                );
             }
             _ => panic!("unknown effect token {token}"),
         }
