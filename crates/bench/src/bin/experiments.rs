@@ -355,8 +355,7 @@ fn list_modes(scale: &Scale) {
 /// evaluates them as separate methods.
 const VERIFY_KERNELS: [&str; 5] = ["while-while", "while-if", "dmk", "tbc", "drs"];
 
-/// The program a registered kernel name executes (mirrors the `drs-verify`
-/// CLI's registry).
+/// The program a registered kernel name executes.
 fn verify_program_for(name: &str) -> drs_sim::Program {
     use drs_baselines::{DmkConfig, DmkKernel};
     use drs_kernels::{WhileIfKernel, WhileWhileConfig, WhileWhileKernel};
@@ -368,18 +367,54 @@ fn verify_program_for(name: &str) -> drs_sim::Program {
     }
 }
 
+/// Record `report` in the open JSON object (`clean`, `errors`, `warnings`,
+/// `diagnostics`) and print it: a verdict line for `what` ending in
+/// `detail`, then each diagnostic on its own line. Returns the error count.
+fn record_report(
+    j: &mut drs_sim::JsonBuf,
+    what: &str,
+    detail: &str,
+    report: &drs_verify::Report,
+) -> usize {
+    let errors = report.errors().count();
+    let warnings = report.warnings().count();
+    let verdict = if errors == 0 { "clean" } else { "FAILED" };
+    println!("{what:12} {verdict} ({errors} error(s), {warnings} warning(s)){detail}");
+    j.kv_bool("clean", errors == 0);
+    j.kv_u64("errors", errors as u64);
+    j.kv_u64("warnings", warnings as u64);
+    j.key("diagnostics");
+    j.begin_arr();
+    for d in &report.diagnostics {
+        println!("  {d}");
+        j.begin_obj();
+        j.kv_str("check", d.check.code());
+        let severity = if d.severity == drs_verify::Severity::Error { "error" } else { "warning" };
+        j.kv_str("severity", severity);
+        if let Some(b) = d.block {
+            j.kv_u64("block", u64::from(b));
+        }
+        j.kv_str("message", &d.message);
+        j.end_obj();
+    }
+    j.end_arr();
+    errors
+}
+
 /// `verify` mode: run the full static-analysis suite — structural checks,
 /// dataflow diagnostics, shuffle live sets, stack-depth and register-
-/// pressure bounds, natural loops — over every registered kernel program
-/// and write one machine-readable JSON report for CI to gate on.
+/// pressure bounds, natural loops — over every registered kernel program,
+/// lint the paper's GPU configuration, and write one machine-readable JSON
+/// report for CI to gate on.
 ///
-/// Exits 1 when any kernel has an error-severity diagnostic (including a
-/// shuffle live set that differs from the declared per-ray register
-/// count); warnings are recorded but do not fail the run.
+/// Exits 1 when any kernel or the config has an error-severity diagnostic
+/// (including a shuffle live set that differs from the declared per-ray
+/// register count); warnings are printed and recorded but do not fail the
+/// run.
 fn verify_mode(cli: &cli::Cli) {
     use drs_kernels::costs::RAY_LIVE_REGISTERS;
-    use drs_sim::JsonBuf;
-    use drs_verify::{live_set_summary, verify_program, Severity};
+    use drs_sim::{GpuConfig, JsonBuf};
+    use drs_verify::{live_set_summary, verify_config, verify_program};
 
     banner("Static analysis: kernel programs");
     let out = if cli.out == std::path::Path::new("BENCH_experiments.json") {
@@ -399,29 +434,21 @@ fn verify_mode(cli: &cli::Cli) {
         let mut report = verify_program(&program);
         drs_verify::shuffle::check_shuffle_live(program.blocks(), RAY_LIVE_REGISTERS, &mut report);
         let summary = live_set_summary(&program);
-        let errors = report.errors().count();
-        let warnings = report.warnings().count();
-        total_errors += errors;
+        let shuffle_ok = summary.points.iter().all(|p| p.live_count() == RAY_LIVE_REGISTERS);
+        let detail = format!(
+            "; {} shuffle points, live {}..{} regs{}, stack depth <= {}, pressure <= {}",
+            summary.points.len(),
+            summary.min_live,
+            summary.max_live,
+            if shuffle_ok { " (= declared)" } else { " (MISMATCH)" },
+            summary.stack_depth_bound(32),
+            summary.max_pressure,
+        );
 
         j.begin_obj();
         j.kv_str("kernel", name);
         j.kv_u64("declared_live_regs", RAY_LIVE_REGISTERS as u64);
-        j.kv_bool("clean", errors == 0);
-        j.kv_u64("errors", errors as u64);
-        j.kv_u64("warnings", warnings as u64);
-        j.key("diagnostics");
-        j.begin_arr();
-        for d in &report.diagnostics {
-            j.begin_obj();
-            j.kv_str("check", d.check.code());
-            j.kv_str("severity", if d.severity == Severity::Error { "error" } else { "warning" });
-            if let Some(b) = d.block {
-                j.kv_u64("block", u64::from(b));
-            }
-            j.kv_str("message", &d.message);
-            j.end_obj();
-        }
-        j.end_arr();
+        total_errors += record_report(&mut j, name, &detail, &report);
         j.key("live");
         j.begin_obj();
         j.kv_u64("transfer_regs", summary.transfer_regs() as u64);
@@ -458,28 +485,18 @@ fn verify_mode(cli: &cli::Cli) {
             j.kv_u64("header", u64::from(l.header));
             j.kv_u64("depth", l.depth as u64);
             j.kv_u64("body_blocks", l.body.len() as u64);
-            j.kv_bool("trip_count_static", l.trip_bounds.is_some());
             j.end_obj();
         }
         j.end_arr();
         j.end_obj();
-
-        let shuffle_ok = summary.points.iter().all(|p| p.live_count() == RAY_LIVE_REGISTERS);
-        println!(
-            "{name:12} {} ({} error(s), {} warning(s)); {} shuffle points, live {}..{} regs{}, \
-             stack depth <= {}, pressure <= {}",
-            if errors == 0 { "clean" } else { "FAILED" },
-            errors,
-            warnings,
-            summary.points.len(),
-            summary.min_live,
-            summary.max_live,
-            if shuffle_ok { " (= declared)" } else { " (MISMATCH)" },
-            summary.stack_depth_bound(32),
-            summary.max_pressure,
-        );
     }
     j.end_arr();
+    j.key("config");
+    j.begin_obj();
+    j.kv_str("name", "gtx780");
+    let report = verify_config(&GpuConfig::gtx780());
+    total_errors += record_report(&mut j, "config gtx780", "", &report);
+    j.end_obj();
     j.kv_bool("clean", total_errors == 0);
     j.kv_u64("total_errors", total_errors as u64);
     j.end_obj();

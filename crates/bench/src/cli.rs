@@ -31,11 +31,12 @@ Modes:
                    the paper's headline numbers
   verify           run the drs-verify static analyses (structural checks,
                    shuffle live sets, stack-depth and pressure bounds,
-                   natural loops) over every registered kernel program and
-                   write a machine-readable JSON report to --out (default:
-                   BENCH_verify.json); exits 1 on any error-severity
-                   diagnostic or when a shuffle live set differs from the
-                   kernel's declared per-ray register count
+                   natural loops) over every registered kernel program,
+                   lint the gtx780 GPU configuration, print every
+                   diagnostic, and write a machine-readable JSON report to
+                   --out (default: BENCH_verify.json); exits 1 on any
+                   error-severity diagnostic or when a shuffle live set
+                   differs from the kernel's declared per-ray register count
 
 Options:
   --jobs N         worker threads (default: available parallelism)

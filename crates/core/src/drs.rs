@@ -3,8 +3,10 @@
 use drs_kernels::{CTRL_EXIT, CTRL_FETCH, CTRL_TRAV_INNER, CTRL_TRAV_LEAF, TOKEN_RDCTRL};
 use drs_sim::{MachineState, RayState, SimStats, SpecialOutcome, SpecialUnit};
 
-/// Live registers per ray moved by one swap (17 × 32-bit, per the paper).
-pub const RAY_REGISTERS: usize = 17;
+/// Live registers per ray moved by one swap (17 × 32-bit, per the paper):
+/// the kernels' declared per-ray live set, which their constructors check
+/// against the statically derived shuffle live sets in debug builds.
+pub const RAY_REGISTERS: usize = drs_kernels::costs::RAY_LIVE_REGISTERS;
 
 /// Most logical ray rows one unit may hold: its unbound-row set is one
 /// `u128` bitmask.
@@ -192,8 +194,8 @@ pub struct DrsUnit {
     parked: Vec<bool>,
     /// Sticky designation of the leaf-state ray collecting row.
     leaf_collector: Option<usize>,
-    /// Registers one ray-state move must copy (the paper's fixed 17, or a
-    /// per-kernel value derived by `drs-verify` shuffle liveness).
+    /// Registers one ray-state move must copy ([`RAY_REGISTERS`] unless
+    /// built with [`DrsUnit::with_ray_regs`]).
     ray_regs: u8,
     initialized: bool,
     /// An input of [`DrsUnit::plan_transfers`] may have changed since the

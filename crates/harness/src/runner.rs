@@ -5,7 +5,7 @@ use crate::job::Method;
 use drs_baselines::{DmkConfig, DmkKernel, DmkUnit, TbcConfig, TbcUnit};
 use drs_chip::{run_chip_observed, ChipResult};
 use drs_core::system::RowedWhileIf;
-use drs_core::{DrsConfig, DrsUnit, RAY_REGISTERS};
+use drs_core::{DrsConfig, DrsUnit};
 use drs_kernels::{WhileIfKernel, WhileWhileConfig, WhileWhileKernel};
 use drs_sim::{
     ChipConfig, GpuConfig, NullSpecial, Program, SimError, SimStats, Simulation, TelemetrySink,
@@ -36,11 +36,6 @@ pub struct CellConfig {
     /// Trip the no-progress watchdog at this cycle (deterministic fault
     /// injection; see [`FaultPlan`](crate::fault::FaultPlan)).
     pub watchdog_trip_at: Option<u64>,
-    /// Derive the DRS swap engine's per-ray transfer cost from the
-    /// kernel's shuffle live sets (`drs-verify`) instead of the paper's
-    /// fixed 17 registers. Results are bit-identical whenever the derived
-    /// count equals the constant — asserted by the golden test.
-    pub derived_transfer_cost: bool,
     /// Full-chip mode: shard the stream over `chip.sms` SM engines
     /// sharing one banked L2 / MSHR pool / DRAM channel (`drs-chip`).
     pub chip: Option<ChipConfig>,
@@ -51,8 +46,8 @@ pub struct CellConfig {
 }
 
 impl CellConfig {
-    /// A plain cell: no budgets, no injection, fast path on, constant
-    /// transfer cost, single-SMX mode.
+    /// A plain cell: no budgets, no injection, fast path on, single-SMX
+    /// mode.
     pub fn new(method: Method, warps: usize) -> CellConfig {
         CellConfig {
             method,
@@ -61,22 +56,9 @@ impl CellConfig {
             cycle_budget: None,
             deadline: None,
             watchdog_trip_at: None,
-            derived_transfer_cost: false,
             chip: None,
             chip_threads: 1,
         }
-    }
-}
-
-/// The DRS per-ray transfer cost for a kernel program: statically derived
-/// from its shuffle-point live sets when `derived` is set, the paper's
-/// fixed [`RAY_REGISTERS`] otherwise.
-fn transfer_regs(program: &Program, derived: bool) -> u8 {
-    if derived {
-        let regs = drs_verify::live_set_summary(program).transfer_regs();
-        u8::try_from(regs).expect("live sets fit the 64-register scoreboard")
-    } else {
-        RAY_REGISTERS as u8
     }
 }
 
@@ -193,21 +175,15 @@ fn build_method_sim<'w>(
         }
         Method::Drs { backup_rows, swap_buffers, .. } => {
             let drs = DrsConfig { warps, backup_rows, swap_buffers, ideal: false, lanes: 32 };
-            let k = WhileIfKernel::new();
-            let program = k.program();
+            let program = WhileIfKernel::new().program();
             let behavior = RowedWhileIf::new(drs.rows());
-            let unit =
-                DrsUnit::with_ray_regs(drs, transfer_regs(&program, cfg.derived_transfer_cost));
-            new_sim(gpu, program, Box::new(behavior), Box::new(unit), scripts)
+            new_sim(gpu, program, Box::new(behavior), Box::new(DrsUnit::new(drs)), scripts)
         }
         Method::IdealDrs => {
             let drs = DrsConfig { warps, backup_rows: 1, swap_buffers: 6, ideal: true, lanes: 32 };
-            let k = WhileIfKernel::new();
-            let program = k.program();
+            let program = WhileIfKernel::new().program();
             let behavior = RowedWhileIf::new(drs.rows());
-            let unit =
-                DrsUnit::with_ray_regs(drs, transfer_regs(&program, cfg.derived_transfer_cost));
-            new_sim(gpu, program, Box::new(behavior), Box::new(unit), scripts)
+            new_sim(gpu, program, Box::new(behavior), Box::new(DrsUnit::new(drs)), scripts)
         }
     }
 }
@@ -304,30 +280,6 @@ mod tests {
             "interval series must reproduce the aggregate efficiency"
         );
         assert!(report.trace.as_ref().is_some_and(|t| !t.spans.is_empty()));
-    }
-
-    /// Golden: the statically derived transfer cost for the while-if
-    /// kernel is exactly the paper's 17 registers, so grid results with
-    /// `derived_transfer_cost` on are bit-identical to the constant-cost
-    /// baseline.
-    #[test]
-    fn derived_transfer_cost_is_bit_identical() {
-        let program = WhileIfKernel::new().program();
-        assert_eq!(transfer_regs(&program, true), RAY_REGISTERS as u8);
-        let scene = SceneKind::Conference.build_with_tris(2_000);
-        let streams = BounceStreams::capture(&scene, 300, 2, 7);
-        let scripts = &streams.bounce(2).scripts;
-        for method in [Method::drs_default(), Method::IdealDrs] {
-            let constant = CellConfig::new(method, 8);
-            let derived = CellConfig { derived_transfer_cost: true, ..constant };
-            let (a, _) = run_cell(&constant, scripts, None);
-            let (b, _) = run_cell(&derived, scripts, None);
-            assert_eq!(
-                a.expect("constant-cost run completes"),
-                b.expect("derived-cost run completes"),
-                "derived transfer cost must not change {method:?} results"
-            );
-        }
     }
 
     #[test]

@@ -75,40 +75,13 @@ const A_PRIM0: u16 = 2;
 const A_PRIM1: u16 = 3;
 
 /// The while-if kernel of the paper (Kernel 1).
-#[derive(Debug, Clone)]
-pub struct WhileIfKernel {
-    /// Inner nodes one rdctrl round may traverse per lane.
-    unroll: u16,
-}
-
-impl Default for WhileIfKernel {
-    fn default() -> Self {
-        WhileIfKernel::new()
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct WhileIfKernel;
 
 impl WhileIfKernel {
-    /// Create the kernel with the default unroll factor.
+    /// Create the kernel.
     pub fn new() -> WhileIfKernel {
-        WhileIfKernel { unroll: INNER_UNROLL }
-    }
-
-    /// Create the kernel with an explicit inner-unroll factor (ablation
-    /// knob: 1 = one node per round, maximum re-sort granularity but
-    /// maximum rdctrl/shuffle pressure; large values approach a full
-    /// run-until-leaf body whose run-length variance caps efficiency).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `unroll` is zero.
-    pub fn with_unroll(unroll: u16) -> WhileIfKernel {
-        assert!(unroll > 0, "unroll must be at least 1");
-        WhileIfKernel { unroll }
-    }
-
-    /// The configured unroll factor.
-    pub fn unroll(&self) -> u16 {
-        self.unroll
+        WhileIfKernel
     }
 
     /// Build the micro-op program.
@@ -297,7 +270,7 @@ impl KernelBehavior for WhileIfKernel {
             }
             C_LANE_HAS_INNER => {
                 let Some(s) = m.slot_of(warp, lane) else { return false };
-                m.slots[s].round_work < self.unroll
+                m.slots[s].round_work < INNER_UNROLL
                     && matches!(m.peek_step(s), Some(Step::Inner { .. }))
             }
             C_BOTH_HIT => {

@@ -22,17 +22,19 @@
 //! framework**: [`solver`] is a generic worklist fixpoint solver over the
 //! CFG (forward/backward, join-lattice [`solver::Analysis`] trait), and
 //! [`liveness`] (backward liveness, reaching definitions, register
-//! pressure), [`ranges`] (interval domain, natural loops), and
-//! [`shuffle`] (per-point live sets at shuffle-eligible points, static
+//! pressure) and [`shuffle`] (per-point live sets at shuffle-eligible
+//! points — natural-loop headers and reconvergence points — plus static
 //! SIMT-stack and scoreboard bounds) are analyses built on it. The
-//! [`shuffle::LiveSetSummary`] feeds drs-core's swap engine so transfer
-//! cost is statically derived instead of hard-coded.
+//! [`shuffle::LiveSetSummary`] pins the swap engine's 17-register
+//! transfer cost: every shuffle point of both traversal kernels must have
+//! exactly that many live registers.
 //!
 //! Entry points: [`verify_program`] / [`verify_blocks`] for programs,
 //! [`verify_config`] for configurations, [`shuffle::live_set_summary`]
 //! for the derived cost/bound summary, and [`assert_program_valid`] /
 //! [`assert_shuffle_live`] for the debug-build hooks kernels call from
-//! their constructors.
+//! their constructors. The `experiments verify` command runs all of them
+//! over every shipped kernel and the gtx780 configuration.
 
 #![warn(missing_docs)]
 
@@ -41,15 +43,15 @@ mod config_lint;
 mod dataflow;
 mod diag;
 pub mod liveness;
-pub mod ranges;
+mod loops;
 pub mod shuffle;
 pub mod solver;
 mod stack;
 
 pub use config_lint::verify_config;
 pub use diag::{Check, Diagnostic, Report, Severity};
+pub use loops::LoopInfo;
 pub use shuffle::{live_set_summary, LiveSetSummary, ShufflePoint};
-pub use stack::StackBounds;
 
 use drs_sim::{Block, Program};
 

@@ -18,7 +18,7 @@
 use crate::cfg::{check_structure, reachable};
 use crate::diag::{bname, Check, Diagnostic, Report};
 use crate::liveness::{block_pressure, live_sets, regs_in, RegSet};
-use crate::ranges::{natural_loops, LoopInfo};
+use crate::loops::{natural_loops, LoopInfo};
 use crate::stack::check_stack_discipline;
 use drs_sim::{Block, BlockId, Program, Reg, Terminator};
 
@@ -76,7 +76,7 @@ pub struct LiveSetSummary {
     pub stack_repeatable: bool,
     /// The stack exploration was truncated; nesting bounds are partial.
     pub stack_truncated: bool,
-    /// The program's natural loops (headers, bodies, nesting, trip bounds).
+    /// The program's natural loops (headers, back edges, bodies, nesting).
     pub loops: Vec<LoopInfo>,
 }
 

@@ -1,7 +1,7 @@
 //! Generic worklist fixpoint solver over the kernel CFG.
 //!
-//! Every dataflow pass in this crate — liveness, reaching definitions,
-//! value ranges — is an instance of one abstract-interpretation scheme: a
+//! Every dataflow pass in this crate — liveness, reaching definitions —
+//! is an instance of one abstract-interpretation scheme: a
 //! join-semilattice of abstract values, a per-block transfer function, and
 //! a direction. The solver owns the fixpoint iteration (worklist seeded in
 //! a direction-appropriate order, re-queueing only dependents of changed

@@ -26,7 +26,7 @@ const STATE_BUDGET: usize = 200_000;
 /// shape, beyond the pass/fail diagnostics: inputs to the static
 /// stack-depth bound derived in [`crate::shuffle`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StackBounds {
+pub(crate) struct StackBounds {
     /// Maximum pending-reconvergence context length over every reachable
     /// abstract state — the deepest divergence *nesting* the program
     /// admits (re-divergence parked at the same point is deduplicated).

@@ -1,10 +1,7 @@
 //! Randomized property tests over the core data structures and invariants.
 //!
 //! Driven by the in-repo `drs_math::XorShift64` generator (no external
-//! dependencies), and compiled only with `--features proptest` so the default
-//! tier-1 run stays fast and offline.
-
-#![cfg(feature = "proptest")]
+//! dependencies), with fixed seeds so every run checks the same cases.
 
 use drs::bvh::{BuildMethod, BuildParams, Bvh, KdBuildParams, KdTree};
 use drs::geom::{Mesh, Triangle};

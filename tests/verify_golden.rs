@@ -7,11 +7,11 @@
 
 use drs::baselines::{DmkConfig, DmkKernel, DmkUnit, TbcConfig, TbcUnit};
 use drs::core::system::RowedWhileIf;
-use drs::core::{DrsConfig, DrsUnit};
+use drs::core::{DrsConfig, DrsUnit, RAY_REGISTERS};
 use drs::kernels::{WhileIfKernel, WhileWhileConfig, WhileWhileKernel};
 use drs::sim::{Block, GpuConfig, MemSpace, MicroOp, NullSpecial, Program, Simulation, Terminator};
 use drs::trace::{RayScript, Step, Termination};
-use drs::verify::{verify_blocks, verify_config, verify_program, Check, Report};
+use drs::verify::{live_set_summary, verify_blocks, verify_config, verify_program, Check, Report};
 
 fn shipped_programs() -> Vec<(&'static str, Program)> {
     vec![
@@ -32,6 +32,10 @@ fn all_shipped_kernels_verify_clean() {
         assert!(report.is_clean(), "kernel {name} has errors:\n{report}");
         assert!(!report.has(Check::UnreachableBlock), "kernel {name}:\n{report}");
         assert!(!report.has(Check::ReconvergeMismatch), "kernel {name}:\n{report}");
+        // The swap engine moves `RAY_REGISTERS` per ray: exactly the live
+        // set derived at the shuffle points, or a swap would drop or invent
+        // ray state.
+        assert_eq!(live_set_summary(&program).transfer_regs(), RAY_REGISTERS, "kernel {name}");
     }
 }
 
