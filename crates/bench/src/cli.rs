@@ -73,8 +73,9 @@ Options:
                    against one shared L2/MSHR/DRAM memory system instead
                    of a single SMX scaled by the SMX count
   --sms N          SMs per chip cell (default: 15, the GTX 780)
-  --chip-threads N worker threads sharding the SMs inside each chip cell
-                   (results are bit-identical for any value; default: 1)
+  --chip-threads N threads in total sharding the SMs inside each chip cell,
+                   the cell's own included (results are bit-identical for
+                   any value; default: 1)
   --inject SPEC    deterministic fault injection, e.g.
                    'seed=7,panic@1,cache~4x1,watchdog@2,budget@0'
                    (kinds panic|cache|watchdog|budget|chipcfg|store;
@@ -140,7 +141,7 @@ pub struct Cli {
     pub chip: bool,
     /// SMs per chip cell (only meaningful with [`Cli::chip`]).
     pub sms: usize,
-    /// Worker threads inside each chip cell's window loop.
+    /// Threads in total inside each chip cell's window loop.
     pub chip_threads: usize,
     /// Deterministic fault injection (`--inject`; empty plan = no faults).
     pub inject: FaultPlan,

@@ -17,8 +17,8 @@
 //! 1. compute `m = min` over live SMs of their wake hint (the chip-level
 //!    `next_wake`); no SM state can change before `m`, so no requests can
 //!    be issued before it;
-//! 2. advance every SM to `target = m + W` (in parallel across worker
-//!    threads, or inline — the engines don't interact inside a window);
+//! 2. advance every SM to `target = m + W` (sharded across threads, or
+//!    inline — the engines don't interact inside a window);
 //! 3. at the barrier, drain all SMs' request outboxes, sort them into the
 //!    deterministic arbitration order, feed them through the shared
 //!    memory system, and deliver every load response.
@@ -36,6 +36,16 @@
 //! priority across SMs with the arrival cycle — SM iteration order and
 //! thread scheduling never affect the order in which the (stateful,
 //! order-sensitive) banks, MSHR pool and DRAM channel see requests.
+//!
+//! # Threads
+//!
+//! With `threads = N > 1`, N threads in total advance the SMs: the calling
+//! thread advances shard 0 and runs every exchange, and `N − 1` helpers
+//! advance the other shards. They meet twice per window at an atomic
+//! rendezvous that spins briefly and then yields, never sleeping. A
+//! window is only `W` cycles of work, so this pays only when the host has
+//! an idle core for each thread; on a busy host, run cells in parallel
+//! instead (the harness pool's `--jobs`).
 
 #![warn(missing_docs)]
 
@@ -47,9 +57,10 @@ use drs_sim::{
     ChipConfig, ChipTelemetrySink, GpuConfig, PortRequest, SimError, SimErrorKind, SimStats,
     Simulation,
 };
+use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::Mutex;
 
 /// Outcome of a completed full-chip run.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,8 +80,15 @@ pub struct ChipResult {
 
 /// Run `sms` engines — one per SM, already constructed (with telemetry
 /// attached if wanted) but not yet started — against one shared memory
-/// system. `threads` worker threads shard the SMs inside each window;
-/// results are bit-identical for any `threads >= 1`.
+/// system. `threads` threads in total, the calling one included, shard
+/// the SMs inside each window; results are bit-identical for any
+/// `threads >= 1`.
+///
+/// # Panics
+///
+/// A panic inside an SM's engine on a sharded run is re-raised on the
+/// calling thread as `chip worker panicked: …` once every thread has
+/// finished its window.
 ///
 /// # Errors
 ///
@@ -126,11 +144,11 @@ pub fn run_chip_observed(
     }
     let noc = u64::from(chip.noc_latency);
     let window = 2 * noc + 1;
-    let workers = threads.clamp(1, lanes.len());
-    if workers == 1 {
+    let threads = threads.clamp(1, lanes.len());
+    if threads == 1 {
         run_windows_serial(&mut lanes, &mut memsys, noc, window);
     } else {
-        run_windows_threaded(&mut lanes, &mut memsys, noc, window, workers);
+        lanes = run_windows_threaded(lanes, &mut memsys, noc, window, threads);
     }
     // Finalize every SM; the lowest-numbered failure wins.
     let mut per_sm = Vec::with_capacity(lanes.len());
@@ -154,10 +172,11 @@ pub fn run_chip_observed(
 }
 
 /// One barrier: drain every SM's outbox, arbitrate deterministically, feed
-/// the shared system and deliver load responses. Returns true while any
-/// SM still needs cycles.
-fn barrier_exchange(
-    lanes: &mut [Simulation<'_>],
+/// the shared system and deliver load responses. Both chip loops call it,
+/// the serial one over `&mut Simulation`s and the threaded one over lock
+/// guards, so the arbitration order exists in this one place.
+fn barrier_exchange<'w, L: DerefMut<Target = Simulation<'w>>>(
+    lanes: &mut [L],
     memsys: &mut SharedMemSys<'_>,
     inbox: &mut Vec<(usize, PortRequest)>,
     scratch: &mut Vec<PortRequest>,
@@ -187,11 +206,11 @@ fn barrier_exchange(
 /// Next window target: `min` wake over live SMs plus the window length,
 /// or `None` when every SM is done (or one has failed — stop arbitrating
 /// so the failure surfaces immediately).
-fn next_target(lanes: &[Simulation<'_>], window: u64) -> Option<u64> {
-    if lanes.iter().any(Simulation::failed) {
+fn next_target<'w, L: Deref<Target = Simulation<'w>>>(lanes: &[L], window: u64) -> Option<u64> {
+    if lanes.iter().any(|l| l.failed()) {
         return None;
     }
-    let m = lanes.iter().map(Simulation::wake_hint).min().unwrap_or(u64::MAX);
+    let m = lanes.iter().map(|l| l.wake_hint()).min().unwrap_or(u64::MAX);
     if m == u64::MAX {
         return None;
     }
@@ -205,106 +224,155 @@ fn run_windows_serial(
     noc: u64,
     window: u64,
 ) {
+    let mut lanes: Vec<&mut Simulation<'_>> = lanes.iter_mut().collect();
     let mut inbox = Vec::new();
     let mut scratch = Vec::new();
-    while let Some(target) = next_target(lanes, window) {
-        for lane in lanes.iter_mut() {
+    while let Some(target) = next_target(&lanes, window) {
+        for lane in &mut lanes {
             lane.advance_to(target);
         }
-        barrier_exchange(lanes, memsys, &mut inbox, &mut scratch, noc);
+        barrier_exchange(&mut lanes, memsys, &mut inbox, &mut scratch, noc);
     }
 }
 
-/// The sharded chip loop: `workers` persistent threads advance disjoint
-/// SM subsets each window, rendezvousing at a barrier; the coordinator
-/// then runs the identical (serial) exchange. Engines only interact at
-/// the exchange, so this is bit-identical to [`run_windows_serial`].
-fn run_windows_threaded(
-    lanes: &mut [Simulation<'_>],
+/// Spin iterations a waiting thread makes before it starts yielding its
+/// core. Short: when the host runs more threads than it has cores, the
+/// thread being waited for may not be running, and every spin delays it.
+/// Measured on a 2-vCPU host, 64 spins were as fast as 1024 with a core
+/// per thread and twice as fast with two chip cells sharing the cores.
+const SPINS_BEFORE_YIELD: u32 = 64;
+
+/// Wait for `ready` without sleeping: spin, then yield.
+fn spin_until(ready: impl Fn() -> bool) {
+    let mut spins = 0;
+    while !ready() {
+        if spins < SPINS_BEFORE_YIELD {
+            spins += 1;
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// Target that tells the helpers to exit.
+const STOP: u64 = u64::MAX;
+
+/// Where the threaded loop's threads meet. The coordinator opens a window
+/// by publishing its target and bumping `generation`; each helper counts
+/// its finished shard in `arrivals`. The `Release` bump of `generation`
+/// pairs with the helpers' `Acquire` load, so a helper that sees the new
+/// generation also sees its `Relaxed` target; the lanes themselves are
+/// handed over through their mutexes.
+#[derive(Default)]
+struct Rendezvous {
+    generation: AtomicU64,
+    target: AtomicU64,
+    arrivals: AtomicU64,
+}
+
+impl Rendezvous {
+    fn open(&self, target: u64) {
+        self.target.store(target, Ordering::Relaxed);
+        self.generation.fetch_add(1, Ordering::Release);
+    }
+
+    /// Wait for the window after generation `seen` and return its target.
+    fn next_window(&self, seen: &mut u64) -> u64 {
+        spin_until(|| self.generation.load(Ordering::Acquire) != *seen);
+        *seen = self.generation.load(Ordering::Acquire);
+        self.target.load(Ordering::Relaxed)
+    }
+
+    fn arrive(&self) {
+        self.arrivals.fetch_add(1, Ordering::Release);
+    }
+
+    fn await_arrivals(&self, total: u64) {
+        spin_until(|| self.arrivals.load(Ordering::Acquire) >= total);
+    }
+}
+
+/// Opens the stop window when the coordinator leaves the thread scope, by
+/// return or by panic (its own shard's, an exchange's or a failed spawn),
+/// so no helper is left waiting at the rendezvous.
+struct StopOnDrop<'a>(&'a Rendezvous);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.open(STOP);
+    }
+}
+
+/// Advance shard `shard` of `threads` (every `threads`-th SM from
+/// `shard`) to `target`. A panic is caught and noted so that this thread
+/// still reaches the rendezvous; the coordinator re-raises it.
+fn advance_shard(
+    cells: &[Mutex<Simulation<'_>>],
+    shard: usize,
+    threads: usize,
+    target: u64,
+    panicked: &Mutex<Option<String>>,
+) {
+    for cell in cells.iter().skip(shard).step_by(threads) {
+        let mut lane = cell.lock().expect("lane lock");
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| lane.advance_to(target))) {
+            panicked.lock().expect("panic note").get_or_insert(panic_message(payload.as_ref()));
+        }
+    }
+}
+
+/// The sharded chip loop: `threads` threads in total, the calling one
+/// (the coordinator) included, advance disjoint SM shards each window and
+/// meet at a spin-then-yield rendezvous; the coordinator then runs the
+/// serial loop's exchange. Engines only interact at the exchange, so this
+/// is bit-identical to [`run_windows_serial`].
+fn run_windows_threaded<'w>(
+    lanes: Vec<Simulation<'w>>,
     memsys: &mut SharedMemSys<'_>,
     noc: u64,
     window: u64,
-    workers: usize,
-) {
-    let n = lanes.len();
-    let cells: Vec<Mutex<&mut Simulation<'_>>> = lanes.iter_mut().map(Mutex::new).collect();
-    let target = AtomicU64::new(0);
-    // Two rendezvous per window: one releases the workers into it, one
-    // signals completion back to the coordinator.
-    let barrier = Barrier::new(workers + 1);
+    threads: usize,
+) -> Vec<Simulation<'w>> {
+    let cells: Vec<Mutex<Simulation<'w>>> = lanes.into_iter().map(Mutex::new).collect();
+    let meet = Rendezvous::default();
     let panicked: Mutex<Option<String>> = Mutex::new(None);
     std::thread::scope(|scope| {
-        for ti in 0..workers {
-            let cells = &cells;
-            let target = &target;
-            let barrier = &barrier;
-            let panicked = &panicked;
-            scope.spawn(move || loop {
-                barrier.wait();
-                let tgt = target.load(Ordering::Acquire);
-                if tgt == u64::MAX {
-                    return;
-                }
-                for cell in cells.iter().skip(ti).step_by(workers) {
-                    let mut lane = cell.lock().expect("lane lock");
-                    // A panic must not strand the coordinator at the
-                    // barrier: catch it, record it, keep the protocol
-                    // moving, and re-raise it on the coordinator.
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| lane.advance_to(tgt))) {
-                        let msg = panic_message(payload.as_ref());
-                        panicked.lock().expect("panic note").get_or_insert(msg);
+        let _stop = StopOnDrop(&meet);
+        for shard in 1..threads {
+            let (cells, meet, panicked) = (&cells, &meet, &panicked);
+            scope.spawn(move || {
+                let mut seen = 0;
+                loop {
+                    let target = meet.next_window(&mut seen);
+                    if target == STOP {
+                        return;
                     }
+                    advance_shard(cells, shard, threads, target, panicked);
+                    meet.arrive();
                 }
-                barrier.wait();
             });
         }
+        let helpers = threads as u64 - 1;
+        let mut arrivals = 0;
+        let mut guards = Vec::with_capacity(cells.len());
         let mut inbox = Vec::new();
         let mut scratch = Vec::new();
-        loop {
-            let tgt = {
-                let lanes: Vec<_> = cells.iter().map(|c| c.lock().expect("lane lock")).collect();
-                let failed = lanes.iter().any(|l| l.failed());
-                let m = lanes.iter().map(|l| l.wake_hint()).min().unwrap_or(u64::MAX);
-                if failed || m == u64::MAX {
-                    None
-                } else {
-                    Some(m.saturating_add(window))
-                }
-            };
-            let Some(tgt) = tgt else {
-                target.store(u64::MAX, Ordering::Release);
-                barrier.wait(); // workers observe the stop sentinel and exit
-                break;
-            };
-            target.store(tgt, Ordering::Release);
-            barrier.wait(); // release the workers into the window
-            barrier.wait(); // all SMs reached `tgt`
+        guards.extend(cells.iter().map(|c| c.lock().expect("lane lock")));
+        while let Some(target) = next_target(&guards, window) {
+            guards.clear();
+            meet.open(target);
+            advance_shard(&cells, 0, threads, target, &panicked);
+            arrivals += helpers;
+            meet.await_arrivals(arrivals);
             if let Some(msg) = panicked.lock().expect("panic note").take() {
-                target.store(u64::MAX, Ordering::Release);
-                barrier.wait();
                 panic!("chip worker panicked: {msg}");
             }
-            let mut guards: Vec<_> = cells.iter().map(|c| c.lock().expect("lane lock")).collect();
-            // Same exchange as the serial loop, over the locked lanes.
-            inbox.clear();
-            for (sm, lane) in guards.iter_mut().enumerate() {
-                scratch.clear();
-                lane.drain_requests(&mut scratch);
-                inbox.extend(scratch.drain(..).map(|r| (sm, r)));
-            }
-            let total = n as u64;
-            inbox.sort_by_key(|&(sm, r)| {
-                let arrival = r.issue + noc;
-                (arrival, (sm as u64 + total - arrival % total) % total, r.seq)
-            });
-            for &(sm, r) in &inbox {
-                let ready = memsys.request(sm, r.line, r.issue + noc);
-                if r.is_load {
-                    guards[sm].chip_complete(r.group, ready);
-                }
-            }
+            guards.extend(cells.iter().map(|c| c.lock().expect("lane lock")));
+            barrier_exchange(&mut guards, memsys, &mut inbox, &mut scratch, noc);
         }
     });
+    cells.into_iter().map(|c| c.into_inner().expect("lane lock")).collect()
 }
 
 /// Render a caught panic payload for re-raising.
@@ -367,6 +435,8 @@ mod tests {
         Program, StallBucket, TelemetrySink, Terminator, NUM_STALL_BUCKETS,
     };
     use drs_trace::{RayScript, Step, Termination};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     /// The chip-test kernel mirrors the engine's toy: each lane walks its
     /// script, loading each step's node address through the texture path.
@@ -553,6 +623,73 @@ mod tests {
             let total: u64 = t.counts.iter().sum();
             assert_eq!(total, t.cycles * t.warps, "SM {sm}: Σ buckets must equal cycles × warps");
             assert_eq!(t.cycles, result.per_sm[sm].cycles, "SM {sm} cycle count");
+        }
+    }
+
+    /// [`WalkBehavior`] that panics on its `after`-th effect call: an
+    /// engine fault confined to one SM.
+    struct PanicAfter {
+        effects: AtomicU64,
+        after: u64,
+    }
+
+    impl KernelBehavior for PanicAfter {
+        fn eval_cond(&self, token: u16, warp: usize, lane: usize, m: &MachineState<'_>) -> bool {
+            WalkBehavior.eval_cond(token, warp, lane, m)
+        }
+
+        fn eval_addr(&self, token: u16, warp: usize, lane: usize, m: &MachineState<'_>) -> u64 {
+            WalkBehavior.eval_addr(token, warp, lane, m)
+        }
+
+        fn apply_effect(&self, token: u16, warp: usize, lane: usize, m: &mut MachineState<'_>) {
+            let calls = self.effects.fetch_add(1, Ordering::Relaxed) + 1;
+            assert!(calls != self.after, "injected fault");
+            WalkBehavior.apply_effect(token, warp, lane, m);
+        }
+
+        fn initialize(&self, m: &mut MachineState<'_>) {
+            WalkBehavior.initialize(m);
+        }
+    }
+
+    #[test]
+    fn panic_on_any_shard_is_reraised_without_hanging() {
+        // Three SMs: at 2 threads the coordinator owns SMs 0 and 2 and a
+        // helper SM 1; at 3 threads each SM has its own thread.
+        for threads in [2, 3] {
+            for faulty in [0, 1] {
+                let (tx, rx) = mpsc::channel();
+                std::thread::spawn(move || {
+                    let all = scripts(192, 6, 5);
+                    let cfg = small_cfg(2);
+                    let chip = ChipConfig::gtx780(3);
+                    let shards = shard(&all, 3);
+                    let mut lanes = build_lanes(&cfg, &shards);
+                    lanes[faulty] = Simulation::new(
+                        cfg.clone(),
+                        walk_program(),
+                        Box::new(PanicAfter { effects: AtomicU64::new(0), after: 40 }),
+                        Box::new(NullSpecial),
+                        shards[faulty],
+                    );
+                    let outcome =
+                        catch_unwind(AssertUnwindSafe(|| run_chip(lanes, &cfg, &chip, threads)));
+                    let note = match outcome {
+                        Ok(_) => "run_chip returned".to_string(),
+                        Err(payload) => panic_message(payload.as_ref()),
+                    };
+                    let _ = tx.send(note);
+                });
+                // A stranded thread would keep `run_chip` from returning.
+                let note = rx
+                    .recv_timeout(Duration::from_mins(2))
+                    .unwrap_or_else(|_| panic!("threads={threads} SM {faulty}: chip run hung"));
+                assert_eq!(
+                    note, "chip worker panicked: injected fault",
+                    "threads={threads} SM {faulty}"
+                );
+            }
         }
     }
 

@@ -108,10 +108,11 @@ pub struct RunOptions {
     /// Per-job wall-clock budget in milliseconds. A cell exceeding it
     /// fails with a typed `deadline` record carrying partial stats.
     pub job_timeout_ms: Option<u64>,
-    /// Worker threads sharding the SMs inside each full-chip cell's
-    /// window loop (chip jobs only; single-SMX cells ignore it). Chip
-    /// results are bit-identical for any value, so — unlike the chip
-    /// config itself — this never enters job identity or the run key.
+    /// Threads in total, the cell's own included, sharding the SMs inside
+    /// each full-chip cell's window loop (chip jobs only; single-SMX
+    /// cells ignore it). Chip results are bit-identical for any value,
+    /// so — unlike the chip config itself — this never enters job
+    /// identity or the run key.
     pub chip_threads: usize,
     /// Deterministic fault injection (empty plan = no faults).
     pub faults: FaultPlan,

@@ -39,9 +39,10 @@ pub struct CellConfig {
     /// Full-chip mode: shard the stream over `chip.sms` SM engines
     /// sharing one banked L2 / MSHR pool / DRAM channel (`drs-chip`).
     pub chip: Option<ChipConfig>,
-    /// Worker threads sharding the SMs inside each chip window (chip mode
-    /// only). Results are bit-identical for any value, so this is an
-    /// execution knob, never part of job identity.
+    /// Threads in total, the cell's own included, sharding the SMs inside
+    /// each chip window (chip mode only). Results are bit-identical for
+    /// any value, so this is an execution knob, never part of job
+    /// identity.
     pub chip_threads: usize,
 }
 
