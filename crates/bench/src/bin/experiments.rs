@@ -217,12 +217,12 @@ fn main() {
                 String::new()
             };
             println!(
-                "\n[{} cells -> {}; capture cache: {} hit / {} miss / {} evicted{store_note}{resumed_note}; {:.1}s]",
+                "\n[{} cells -> {}; capture cache: {} hit / {} miss / {} quarantined{store_note}{resumed_note}; {:.1}s]",
                 results.cells.len(),
                 cli.out.display(),
                 cache.hits,
                 cache.misses,
-                cache.evictions,
+                cache.quarantined,
                 results.wall_ms / 1e3
             );
         }

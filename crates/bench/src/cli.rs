@@ -57,8 +57,8 @@ Options:
   --interval N     timeline sampling window in cycles (default: 1000)
   --progress       per-job start/finish lines on stderr
   --retries N      extra attempts per cell for transient failures (worker
-                   panics, cache corruption, injected faults); permanent
-                   simulator failures are never retried (default: 1)
+                   panics and injected faults); permanent simulator
+                   failures are never retried (default: 1)
   --job-timeout SECS per-cell wall-clock budget; a cell exceeding it is
                    recorded as a typed 'deadline' failure with partial stats
   --job-cycles N   per-cell simulated-cycle budget; exceeding it records a
@@ -84,8 +84,8 @@ Options:
   --store          memoize finished cells in the durable result store; a
                    warm rerun of the same grid does zero simulation work
                    and produces a byte-identical results file
-  --store-dir PATH result-store location (default: $DRS_STORE_DIR or
-                   target/drs-store); entries are content-addressed by
+  --store-dir PATH result-store location (default: drs-store/ under the
+                   data root); entries are content-addressed by
                    job id with a length+checksum footer, written via
                    tmp+rename, and quarantined (never served) on any
                    corruption
@@ -103,8 +103,8 @@ stderr warning, not a failure: the run still exits 0 because only
 durability — not the results — was lost.
 
 Scaling environment variables: DRS_RAYS, DRS_TRIS_SCALE, DRS_WARPS_SCALE;
-cache location: DRS_CACHE_DIR (default target/drs-cache);
-store location: DRS_STORE_DIR (default target/drs-store).";
+data root: DRS_DATA_DIR (default target), holding the capture cache in
+drs-cache/ and the result store in drs-store/.";
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq, Eq)]

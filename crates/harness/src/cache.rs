@@ -8,76 +8,24 @@
 //! depth, seed, trace format version) — so a full `experiments all` run
 //! captures each scene exactly once *ever*, not once per figure per run.
 //!
-//! Corrupt, truncated, or stale files are detected by the typed
-//! [`TraceIoError`] decoder, evicted, and transparently recaptured; a
-//! cache can never make a run fail, only make it faster.
-//!
-//! Growth is bounded on request (`--cache-limit`): the cache becomes a
-//! size-bounded LRU, with hits refreshing a file's mtime and stores
-//! evicting least-recently-used entries until the directory fits the
-//! byte budget again. Size evictions ride the same eviction path as
-//! corruption evictions but are counted separately.
+//! The cache is a codec over the harness's entry store: each entry is
+//! `<key>.bin` in trace format v1 ([`BounceStreams::save`]), written
+//! atomically under a per-entry lock. An entry the typed
+//! [`TraceIoError`] decoder rejects, or whose depth disagrees with the
+//! spec, is quarantined and recaptured; a cache can never make a run
+//! fail, only make it faster. Growth is bounded on request
+//! (`--cache-limit`): the directory becomes a size-bounded LRU.
 
+use crate::entry::{data_dir, Entries, EntryCounters, EntryError};
 use crate::job::WorkloadSpec;
 use drs_trace::{BounceStreams, TraceIoError};
-use std::fs;
-use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::SystemTime;
-
-/// Snapshot of cache activity for one run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheCounters {
-    /// Workloads served from disk.
-    pub hits: u64,
-    /// Workloads captured because no cache entry existed.
-    pub misses: u64,
-    /// Unreadable entries that were deleted and recaptured.
-    pub evictions: u64,
-    /// Readable entries evicted to keep the cache under its byte limit.
-    pub size_evictions: u64,
-    /// Captured workloads that could not be persisted (the run continues
-    /// with the in-memory copy; the failure is recorded, not fatal).
-    pub store_failures: u64,
-}
-
-/// A cache entry that could not be written: the destination path and the
-/// underlying I/O error. Never fatal — the captured streams stay usable in
-/// memory — but typed so callers can count and report it instead of the
-/// failure vanishing into stderr.
-#[derive(Debug)]
-pub struct CacheStoreError {
-    /// The entry path the write was aimed at.
-    pub path: PathBuf,
-    /// The I/O failure.
-    pub source: std::io::Error,
-}
-
-impl std::fmt::Display for CacheStoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "failed to write cache entry {}: {}", self.path.display(), self.source)
-    }
-}
-
-impl std::error::Error for CacheStoreError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.source)
-    }
-}
 
 /// A directory of serialized bounce streams, safe for concurrent use from
-/// the worker pool (counters are atomic; writes go through a temp file +
-/// rename so parallel processes never observe torn entries).
+/// the worker pool and from concurrent processes.
 #[derive(Debug)]
 pub struct StreamCache {
-    dir: PathBuf,
-    limit_bytes: Option<u64>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    size_evictions: AtomicU64,
-    store_failures: AtomicU64,
+    entries: Entries,
 }
 
 impl StreamCache {
@@ -93,169 +41,84 @@ impl StreamCache {
     /// least-recently-used entries (never the one just written) until it
     /// fits.
     pub fn with_limit(dir: impl Into<PathBuf>, limit_bytes: Option<u64>) -> StreamCache {
-        StreamCache {
-            dir: dir.into(),
-            limit_bytes,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            size_evictions: AtomicU64::new(0),
-            store_failures: AtomicU64::new(0),
-        }
+        StreamCache { entries: Entries::new(dir.into(), "bin", limit_bytes) }
     }
 
-    /// The default cache location: `$DRS_CACHE_DIR` or `target/drs-cache`
-    /// relative to the working directory.
+    /// The default cache location: `drs-cache/` under `$DRS_DATA_DIR`
+    /// (default `target`, relative to the working directory).
     pub fn default_dir() -> PathBuf {
-        std::env::var_os("DRS_CACHE_DIR")
-            .map_or_else(|| PathBuf::from("target").join("drs-cache"), PathBuf::from)
+        data_dir().join("drs-cache")
     }
 
     /// The directory this cache lives in.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.entries.dir()
+    }
+
+    fn key(spec: &WorkloadSpec) -> String {
+        format!("{:016x}", spec.content_key())
     }
 
     /// Cache file for a workload.
     pub fn path_for(&self, spec: &WorkloadSpec) -> PathBuf {
-        self.dir.join(format!("{:016x}.bin", spec.content_key()))
+        self.entries.path(&Self::key(spec))
     }
 
     /// Counters accumulated since construction.
-    pub fn counters(&self) -> CacheCounters {
-        CacheCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            size_evictions: self.size_evictions.load(Ordering::Relaxed),
-            store_failures: self.store_failures.load(Ordering::Relaxed),
-        }
+    pub fn counters(&self) -> EntryCounters {
+        self.entries.counters()
     }
 
     /// Load `spec` from the cache, or capture it and populate the cache.
     ///
-    /// Decode failures evict the entry (it is stale or corrupt — the key
-    /// covers the format version, so this mostly means bit rot or a
-    /// torn write from a crashed run) and fall through to recapture.
-    /// Store failures are reported to stderr but never fail the run.
+    /// Decode failures quarantine the entry (it is stale or corrupt — the
+    /// key covers the format version, so this mostly means bit rot, a
+    /// key collision or a hand-edited file) and fall through to
+    /// recapture. Store failures are reported to stderr but never fail
+    /// the run.
     pub fn get_or_capture(&self, spec: &WorkloadSpec) -> BounceStreams {
-        let path = self.path_for(spec);
-        if let Ok(file) = fs::File::open(&path) {
-            match BounceStreams::load(BufReader::new(file)) {
-                Ok(streams) if streams.depth() == spec.bounces => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    if self.limit_bytes.is_some() {
-                        Self::touch(&path);
-                    }
-                    return streams;
-                }
-                Ok(_) => {
-                    // Key collision or hand-edited file: depth disagrees
-                    // with the spec. Treat exactly like corruption.
-                    self.evict(
-                        &path,
-                        &TraceIoError::Corrupt("cached depth mismatch"),
-                        &self.evictions,
-                    );
-                }
-                Err(e) => self.evict(&path, &e, &self.evictions),
+        let cached = self.entries.read(&Self::key(spec), |r| match BounceStreams::load(r) {
+            Ok(streams) if streams.depth() != spec.bounces => {
+                Err(TraceIoError::Corrupt("cached depth mismatch"))
             }
+            loaded => loaded,
+        });
+        if let Some(streams) = cached {
+            return streams;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let streams = spec.capture();
         if let Err(e) = self.store(spec, &streams) {
-            self.store_failures.fetch_add(1, Ordering::Relaxed);
             eprintln!("drs-harness: {e}");
         }
         streams
     }
 
-    /// The single eviction path: corruption evictions and size evictions
-    /// both delete through here, differing only in the counter charged.
-    fn evict(&self, path: &Path, why: &dyn std::fmt::Display, counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-        eprintln!("drs-harness: evicting cache entry {} ({why})", path.display());
-        let _ = fs::remove_file(path);
-    }
-
-    /// Refresh an entry's mtime so LRU ordering tracks use, not just
-    /// creation. Best effort: a failed touch only ages the entry.
-    fn touch(path: &Path) {
-        if let Ok(f) = fs::OpenOptions::new().append(true).open(path) {
-            let _ = f.set_times(fs::FileTimes::new().set_modified(SystemTime::now()));
-        }
-    }
-
-    /// Evict least-recently-used entries until the directory fits the
-    /// byte budget again. `keep` (the entry just written) is never
-    /// evicted, even if it alone exceeds the limit — evicting it would
-    /// turn every oversized workload into a capture-per-use.
-    fn enforce_limit(&self, keep: &Path) {
-        let Some(limit) = self.limit_bytes else { return };
-        let Ok(dir) = fs::read_dir(&self.dir) else { return };
-        let mut entries: Vec<(PathBuf, u64, SystemTime)> = dir
-            .filter_map(Result::ok)
-            .filter(|e| e.path().extension().is_some_and(|x| x == "bin"))
-            .filter_map(|e| {
-                let meta = e.metadata().ok()?;
-                Some((e.path(), meta.len(), meta.modified().ok()?))
-            })
-            .collect();
-        let mut total: u64 = entries.iter().map(|(_, len, _)| len).sum();
-        if total <= limit {
-            return;
-        }
-        // Oldest first; path as tie-break so same-mtime entries evict in
-        // a deterministic order.
-        entries.sort_by(|a, b| (a.2, &a.0).cmp(&(b.2, &b.0)));
-        for (path, len, _) in entries {
-            if total <= limit {
-                break;
-            }
-            if path == keep {
-                continue;
-            }
-            self.evict(&path, &format!("LRU: cache over {limit}-byte limit"), &self.size_evictions);
-            total -= len;
-        }
-    }
-
-    /// Persist a captured workload (temp file + rename for atomicity).
+    /// Persist a captured workload.
     ///
     /// # Errors
     ///
-    /// Returns the typed [`CacheStoreError`] on any filesystem failure;
-    /// the captured streams remain usable and the run continues.
-    pub fn store(
-        &self,
-        spec: &WorkloadSpec,
-        streams: &BounceStreams,
-    ) -> Result<(), CacheStoreError> {
-        let path = self.path_for(spec);
-        let write = || -> std::io::Result<()> {
-            fs::create_dir_all(&self.dir)?;
-            let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-            {
-                let mut w = BufWriter::new(fs::File::create(&tmp)?);
-                streams.save(&mut w)?;
-            }
-            fs::rename(&tmp, &path)?;
-            Ok(())
-        };
-        let result = write().map_err(|source| CacheStoreError { path: path.clone(), source });
-        if result.is_ok() {
-            self.enforce_limit(&path);
-        }
-        result
+    /// Returns the typed [`EntryError`] on any filesystem failure or lock
+    /// timeout; the captured streams remain usable and the run continues.
+    pub fn store(&self, spec: &WorkloadSpec, streams: &BounceStreams) -> Result<(), EntryError> {
+        self.entries.write(&Self::key(spec), |w| streams.save(w))
+    }
+
+    /// Chaos hook behind [`FaultKind::CacheCorrupt`](crate::FaultKind):
+    /// damage the entry for `spec`, if it exists, so the next read
+    /// quarantines and recaptures it. Returns whether an entry was
+    /// damaged.
+    pub(crate) fn scramble(&self, spec: &WorkloadSpec) -> bool {
+        self.entries.scramble(&Self::key(spec))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::Scale;
+    use crate::job::{fnv1a64, Scale};
     use drs_scene::SceneKind;
-    use std::sync::atomic::AtomicU32;
+    use std::fs;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
 
@@ -279,9 +142,10 @@ mod tests {
         let cache = temp_cache();
         let spec = tiny_spec();
         let first = cache.get_or_capture(&spec);
-        assert_eq!(cache.counters(), CacheCounters { hits: 0, misses: 1, ..Default::default() });
+        let cold = EntryCounters { misses: 1, writes: 1, ..Default::default() };
+        assert_eq!(cache.counters(), cold);
         let second = cache.get_or_capture(&spec);
-        assert_eq!(cache.counters(), CacheCounters { hits: 1, misses: 1, ..Default::default() });
+        assert_eq!(cache.counters(), EntryCounters { hits: 1, ..cold });
         for b in 1..=spec.bounces {
             assert_eq!(first.bounce(b).scripts, second.bounce(b).scripts);
         }
@@ -289,94 +153,43 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_entry_is_evicted_and_recaptured() {
+    fn entry_bytes_are_pinned() {
+        // Caches written by earlier builds must keep being served: any
+        // change to these bytes is a trace format change.
+        let cache = temp_cache();
+        let scale = Scale { rays: 8, tris_scale: 0.002, warps_scale: 1.0 };
+        let spec = WorkloadSpec::standard(SceneKind::Conference, &scale, 2);
+        cache.get_or_capture(&spec);
+        let path = cache.path_for(&spec);
+        assert_eq!(path.file_name().unwrap(), "68827f0cb3648b53.bin");
+        let bytes = fs::read(&path).unwrap();
+        assert_eq!(&bytes[..8], b"1SDR\x01\x00\x02\x00", "magic, format v1, depth 2");
+        assert_eq!((bytes.len(), fnv1a64(&bytes)), (3041, 0x8f21_0f0f_959f_7c31));
+        let _ = fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn corrupt_entry_is_quarantined_and_recaptured() {
         let cache = temp_cache();
         let spec = tiny_spec();
         let clean = cache.get_or_capture(&spec);
-        // Truncate the cached file to garbage.
+        // Truncate the cached file: the decoder must notice.
         let path = cache.path_for(&spec);
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
         let recaptured = cache.get_or_capture(&spec);
         let c = cache.counters();
-        assert_eq!(c.evictions, 1);
-        assert_eq!(c.misses, 2);
+        assert_eq!((c.quarantined, c.misses), (1, 2));
         assert_eq!(clean.bounce(1).scripts, recaptured.bounce(1).scripts);
-        // The bad entry was replaced by a good one.
+        // The bad entry was replaced by a good one; a scrambled one is
+        // caught too.
         let third = cache.get_or_capture(&spec);
         assert_eq!(cache.counters().hits, 1);
         assert_eq!(third.bounce(1).scripts, clean.bounce(1).scripts);
-        let _ = fs::remove_dir_all(cache.dir());
-    }
-
-    #[test]
-    fn store_failure_is_typed_counted_and_nonfatal() {
-        // Root the cache under a path whose parent is a regular file:
-        // create_dir_all must fail, so every store fails.
-        let blocker = std::env::temp_dir().join(format!(
-            "drs-cache-blocker-{}-{}",
-            std::process::id(),
-            DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        fs::write(&blocker, b"not a directory").unwrap();
-        let cache = StreamCache::new(blocker.join("sub"));
-        let spec = tiny_spec();
-        let streams = cache.get_or_capture(&spec);
-        assert!(streams.depth() >= 1, "capture still succeeds in memory");
-        let c = cache.counters();
-        assert_eq!(c.store_failures, 1, "failed persist must be counted");
-        assert_eq!(c.misses, 1);
-        let err = cache.store(&spec, &streams).unwrap_err();
-        assert!(err.to_string().contains("failed to write cache entry"), "{err}");
-        let _ = fs::remove_file(&blocker);
-    }
-
-    #[test]
-    fn size_limit_evicts_least_recently_used_first() {
-        let base = temp_cache();
-        let dir = base.dir().to_path_buf();
-        let specs: Vec<WorkloadSpec> = [120usize, 121, 122]
-            .iter()
-            .map(|&rays| {
-                let scale = Scale { rays, tris_scale: 0.005, warps_scale: 1.0 };
-                WorkloadSpec::standard(SceneKind::Conference, &scale, 1)
-            })
-            .collect();
-        // Populate two entries with no limit, then learn the entry size.
-        base.get_or_capture(&specs[0]);
-        base.get_or_capture(&specs[1]);
-        let entry_len = fs::metadata(base.path_for(&specs[0])).unwrap().len();
-        // Budget for two entries: storing a third must evict exactly one.
-        let cache = StreamCache::with_limit(&dir, Some(2 * entry_len + entry_len / 2));
-        // Make spec[0] the older entry, then refresh it with a hit: LRU
-        // order must follow use, so spec[1] becomes the victim.
-        let old = SystemTime::now() - std::time::Duration::from_mins(5);
-        for spec in &specs[..2] {
-            let f = fs::OpenOptions::new().append(true).open(cache.path_for(spec)).unwrap();
-            f.set_times(fs::FileTimes::new().set_modified(old)).unwrap();
-        }
-        cache.get_or_capture(&specs[0]);
-        assert_eq!(cache.counters().hits, 1);
-        cache.get_or_capture(&specs[2]);
-        let c = cache.counters();
-        assert_eq!(c.size_evictions, 1, "exactly one entry over budget");
-        assert_eq!(c.evictions, 0, "size evictions are counted separately");
-        assert!(cache.path_for(&specs[0]).exists(), "recently-used entry survives");
-        assert!(!cache.path_for(&specs[1]).exists(), "LRU entry evicted");
-        assert!(cache.path_for(&specs[2]).exists(), "just-written entry never evicted");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn just_written_entry_survives_even_when_alone_over_budget() {
-        let base = temp_cache();
-        let dir = base.dir().to_path_buf();
-        let spec = tiny_spec();
-        let cache = StreamCache::with_limit(&dir, Some(1));
+        assert!(cache.scramble(&spec));
         cache.get_or_capture(&spec);
-        assert!(cache.path_for(&spec).exists(), "sole oversized entry is kept");
-        assert_eq!(cache.counters().size_evictions, 0);
-        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(cache.counters().quarantined, 2);
+        let _ = fs::remove_dir_all(cache.dir());
     }
 
     #[test]
@@ -386,13 +199,24 @@ mod tests {
         let streams = cache.get_or_capture(&spec);
         // Forge an entry under the wrong key: same bytes, different depth.
         let deeper = WorkloadSpec { bounces: 3, ..spec };
-        let mut buf = Vec::new();
-        streams.save(&mut buf).unwrap();
-        fs::create_dir_all(cache.dir()).unwrap();
-        fs::write(cache.path_for(&deeper), &buf).unwrap();
+        fs::copy(cache.path_for(&spec), cache.path_for(&deeper)).unwrap();
         let recaptured = cache.get_or_capture(&deeper);
-        assert_eq!(recaptured.depth(), 3);
-        assert_eq!(cache.counters().evictions, 1);
+        assert_eq!((streams.depth(), recaptured.depth()), (2, 3));
+        assert_eq!(cache.counters().quarantined, 1);
         let _ = fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn store_failure_is_counted_and_nonfatal() {
+        // Root the cache under a path whose parent is a regular file:
+        // every store fails, the capture still succeeds in memory.
+        let blocker = temp_cache().dir().to_path_buf();
+        fs::write(&blocker, b"not a directory").unwrap();
+        let cache = StreamCache::new(blocker.join("sub"));
+        let streams = cache.get_or_capture(&tiny_spec());
+        assert!(streams.depth() >= 1, "capture still succeeds in memory");
+        let c = cache.counters();
+        assert_eq!((c.write_failures, c.misses), (1, 1), "failed persist must be counted");
+        let _ = fs::remove_file(&blocker);
     }
 }

@@ -30,7 +30,11 @@ use std::fmt;
 pub enum FaultKind {
     /// Panic inside the worker closure (exercises `catch_unwind` isolation).
     WorkerPanic,
-    /// A corrupted capture-cache read for this job's attempt.
+    /// Flip a bit of this job's workload entry in the capture cache
+    /// before the capture phase reads it, exercising the trace decoder's
+    /// detection and the quarantine-and-recapture path end to end.
+    /// Absorbed silently when the run has no cache (or the entry does not
+    /// exist yet).
     CacheCorrupt,
     /// Trip the simulator's no-progress watchdog early.
     WatchdogTrip,

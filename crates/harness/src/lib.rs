@@ -16,7 +16,7 @@
 //!   keyed by (scene, triangle budget, ray budget, depth, seed, trace
 //!   format version). The expensive render+trace phase runs once per
 //!   workload ever, instead of once per figure per run; corrupt entries
-//!   are evicted and recaptured via the typed
+//!   are quarantined and recaptured via the typed
 //!   [`TraceIoError`](drs_trace::TraceIoError).
 //! - **Results** ([`results`]): every cell is emitted as JSON
 //!   (`BENCH_experiments.json`) — Mrays/s, SIMD efficiency, the complete
@@ -33,7 +33,11 @@
 //!   simulation work and emits byte-identical results JSON. Corrupt or
 //!   stale entries are quarantined and recomputed, never served. The
 //!   same store, scoped to one run ([`CheckpointSpec`]), lets an
-//!   interrupted grid resume with bit-identical merged results.
+//!   interrupted grid resume with bit-identical merged results. The
+//!   cache and the store are two codecs over one private entry store
+//!   (atomic writes under a per-entry lock, quarantine, optional LRU
+//!   budget, one [`EntryCounters`] set); both live under one root,
+//!   `$DRS_DATA_DIR` (default `target`).
 //! - **Full-chip mode** ([`runner::run_chip_cell`], `drs-chip`): a job
 //!   with [`SimJob::chip`] set runs N per-SM engines against one shared
 //!   L2/MSHR/DRAM memory system instead of a single scaled SMX; the cell
@@ -73,6 +77,7 @@
 pub const SCHEMA_VERSION: u32 = 4;
 
 pub mod cache;
+mod entry;
 pub mod fault;
 pub mod figures;
 pub mod job;
@@ -81,11 +86,12 @@ pub mod results;
 pub mod runner;
 pub mod store;
 
-pub use cache::{CacheCounters, CacheStoreError, StreamCache};
+pub use cache::StreamCache;
 pub use drs_sim::ChipConfig;
+pub use entry::{EntryCounters, EntryError};
 pub use fault::{FaultKind, FaultPlan, FaultSpecError};
 pub use job::{fnv1a64, JobId, JobSet, Method, Scale, SimJob, WorkloadSpec};
 pub use pool::{parallel_map, run_jobs, CaptureMode, CheckpointSpec, RunOptions, RunReport};
 pub use results::{write_text, CellFailure, CellResult, ChipSummary, ResultsFile};
 pub use runner::{run_cell, run_chip_cell, CellConfig};
-pub use store::{ResultStore, StoreCounters, StoreError, StoredCell};
+pub use store::{ResultStore, StoredCell};

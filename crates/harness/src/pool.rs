@@ -17,8 +17,8 @@
 //!
 //! A failing cell never takes the run down with it. Every attempt runs
 //! under `catch_unwind`, so a panicking worker becomes a recorded
-//! [`CellFailure`]; *transient* failures (panics, cache corruption,
-//! injected faults) are retried with exponential backoff, while
+//! [`CellFailure`]; *transient* failures (panics and injected faults)
+//! are retried with exponential backoff, while
 //! *permanent* ones (an organic watchdog trip, cycle-cap, deadline, or
 //! invariant failure — deterministic, so a retry would fail identically)
 //! are recorded immediately.
@@ -34,12 +34,13 @@
 //! re-executes with zero engine invocations and zero captures, and emits
 //! identical results JSON.
 
-use crate::cache::{CacheCounters, StreamCache};
+use crate::cache::StreamCache;
+use crate::entry::EntryCounters;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::job::{SimJob, WorkloadSpec};
 use crate::results::{CellFailure, CellResult, ChipSummary};
 use crate::runner::CellConfig;
-use crate::store::{ResultStore, StoreCounters, StoredCell};
+use crate::store::{ResultStore, StoredCell};
 use drs_sim::{ChipConfig, SimError, SimErrorKind, SimStats};
 use drs_telemetry::TelemetryConfig;
 use std::cell::Cell;
@@ -95,7 +96,7 @@ pub struct RunOptions {
     /// way.
     pub fastpath: bool,
     /// Extra attempts after the first for *transient* failures (worker
-    /// panics, cache corruption, injected faults). Permanent simulation
+    /// panics and injected faults). Permanent simulation
     /// failures (watchdog, cycle cap, deadline, invariant) are never
     /// retried — they are deterministic and would fail identically.
     pub retries: u32,
@@ -165,7 +166,7 @@ pub struct RunReport {
     /// One result per input job, same order.
     pub cells: Vec<CellResult>,
     /// Capture-cache activity (all zeros when uncached).
-    pub cache: CacheCounters,
+    pub cache: EntryCounters,
     /// Cells reused from the run-scoped store instead of being
     /// re-simulated.
     pub resumed: usize,
@@ -174,7 +175,7 @@ pub struct RunReport {
     pub checkpoint_writes: u64,
     /// Result-store activity (all zeros without a store). `hits` counts
     /// cells served from disk with no engine invocation.
-    pub store: StoreCounters,
+    pub store: EntryCounters,
     /// Wall-clock of the whole run in milliseconds.
     pub wall_ms: f64,
 }
@@ -325,7 +326,9 @@ pub fn run_jobs(jobs: &[SimJob], opts: &RunOptions) -> RunReport {
 
     // Phase 1: capture the distinct workloads still needed (served jobs
     // contribute nothing to the capture set), from the cache when the run
-    // has one. A capture that panics fails every cell over it.
+    // has one. A capture that panics fails every cell over it. A planned
+    // [`FaultKind::CacheCorrupt`] damages the workload's cache entry just
+    // before it is read, proving quarantine-and-recapture end to end.
     let mut seen = HashSet::new();
     let needed: Vec<WorkloadSpec> = jobs
         .iter()
@@ -333,13 +336,27 @@ pub fn run_jobs(jobs: &[SimJob], opts: &RunOptions) -> RunReport {
         .filter(|(j, served)| served.is_none() && seen.insert(j.workload.content_key()))
         .map(|(j, _)| j.workload)
         .collect();
+    let corrupt: HashSet<u64> = jobs
+        .iter()
+        .enumerate()
+        .filter(|&(i, j)| {
+            prior[i].is_none()
+                && opts.faults.fault_for(i, j.id(), 1) == Some(FaultKind::CacheCorrupt)
+        })
+        .map(|(_, j)| j.workload.content_key())
+        .collect();
     let captures: HashMap<u64, Capture> = needed
         .iter()
         .map(WorkloadSpec::content_key)
         .zip(parallel_map(&needed, opts.workers, |_, spec| {
             catch_quietly(|| match &opts.capture {
                 CaptureMode::Uncached => spec.capture(),
-                CaptureMode::Cached(cache) => cache.get_or_capture(spec),
+                CaptureMode::Cached(cache) => {
+                    if corrupt.contains(&spec.content_key()) && cache.scramble(spec) {
+                        eprintln!("drs-harness: injected cache corruption for {}", spec.scene);
+                    }
+                    cache.get_or_capture(spec)
+                }
             })
         }))
         .collect();
@@ -406,7 +423,7 @@ pub fn run_jobs(jobs: &[SimJob], opts: &RunOptions) -> RunReport {
     RunReport {
         cells,
         cache: match &opts.capture {
-            CaptureMode::Uncached => CacheCounters::default(),
+            CaptureMode::Uncached => EntryCounters::default(),
             CaptureMode::Cached(cache) => cache.counters(),
         },
         resumed: run_counters.hits as usize,
@@ -434,7 +451,12 @@ fn run_one_job(
     let mut attempt = 0u32;
     loop {
         attempt += 1;
-        let fault = opts.faults.fault_for(index, job.id(), attempt);
+        // Cache and store faults act before any attempt, so an attempt
+        // under one is not an injected failure.
+        let fault = opts
+            .faults
+            .fault_for(index, job.id(), attempt)
+            .filter(|f| !matches!(f, FaultKind::CacheCorrupt | FaultKind::StoreCorrupt));
         match run_attempt(job, scripts, fault, opts) {
             Ok(cell) => {
                 let wall_ms = job_start.elapsed().as_secs_f64() * 1e3;
@@ -442,8 +464,7 @@ fn run_one_job(
             }
             Err(boxed) => {
                 let (failure, partial) = *boxed;
-                let transient =
-                    failure.injected || matches!(failure.kind.as_str(), "panic" | "cache_corrupt");
+                let transient = failure.injected || failure.kind == "panic";
                 if transient && attempt < max_attempts {
                     let backoff = opts
                         .retry_backoff_ms
@@ -499,13 +520,6 @@ fn run_attempt(
     opts: &RunOptions,
 ) -> AttemptOutcome {
     let injected = fault.is_some();
-    if fault == Some(FaultKind::CacheCorrupt) {
-        let message = "injected corrupted capture-cache read".to_string();
-        return Err(Box::new((
-            CellFailure::new("cache_corrupt", message, true),
-            SimStats::default(),
-        )));
-    }
     let mut cfg = CellConfig::new(job.method, job.warps);
     cfg.fastpath = opts.fastpath;
     cfg.cycle_budget = opts.job_cycle_budget;

@@ -16,10 +16,9 @@
 //! that legitimately differ between a cold and a warm run never enter
 //! the results document at all.
 
-use crate::cache::CacheCounters;
+use crate::entry::EntryCounters;
 use crate::job::SimJob;
 use crate::pool::RunReport;
-use crate::store::StoreCounters;
 use crate::SCHEMA_VERSION;
 use drs_sim::{GpuConfig, JsonBuf, SimStats};
 use drs_telemetry::{ChipTelemetryReport, TelemetryReport};
@@ -30,14 +29,14 @@ use std::path::Path;
 /// instead of being printed to stderr and lost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellFailure {
-    /// Machine-readable failure class: `panic`, `cache_corrupt`,
-    /// `capture`, or a [`SimErrorKind`](drs_sim::SimErrorKind) label
-    /// (`watchdog`, `cycle_limit`, `invariant`, `deadline`).
+    /// Machine-readable failure class: `panic`, `capture`, or a
+    /// [`SimErrorKind`](drs_sim::SimErrorKind) label (`watchdog`,
+    /// `cycle_limit`, `invariant`, `deadline`, `chip_config`).
     pub kind: String,
     /// Human-readable description of the final failed attempt.
     pub message: String,
     /// Simulation cycle the failure fired at (absent for panics and
-    /// capture/cache errors, which happen outside the simulated clock).
+    /// capture errors, which happen outside the simulated clock).
     pub cycle: Option<u64>,
     /// True when the failure was deterministically injected via a
     /// [`FaultPlan`](crate::fault::FaultPlan).
@@ -278,9 +277,9 @@ pub struct ResultsFile {
     /// Worker threads used.
     pub workers: usize,
     /// Capture-cache telemetry.
-    pub cache: CacheCounters,
+    pub cache: EntryCounters,
     /// Result-store telemetry (zeros when the run had no store).
-    pub store: StoreCounters,
+    pub store: EntryCounters,
     /// Whole-run wall clock in milliseconds.
     pub wall_ms: f64,
     /// Cells reused from the run's resume store instead of being
@@ -315,10 +314,10 @@ impl ResultsFile {
     }
 
     /// Run-level execution metrics aggregated over every cell: the
-    /// fault-tolerance and caching story of the run as one object (cache
-    /// traffic, retry attempts, checkpoint writes, per-cell wall-clock
-    /// spread) — so CI can watch harness health, not just simulator
-    /// counters.
+    /// fault-tolerance story of the run as one object (retry attempts,
+    /// checkpoint writes, per-cell wall-clock spread) — so CI can watch
+    /// harness health, not just simulator counters. Cache and store
+    /// traffic sit beside it in the run document, not in it.
     fn write_metrics_json(&self, j: &mut JsonBuf) {
         let attempts: u64 = self.cells.iter().map(|(_, c)| c.attempts as u64).sum();
         let cells = self.cells.len() as u64;
@@ -334,17 +333,6 @@ impl ResultsFile {
         j.kv_u64("retries", attempts - cells.min(attempts));
         j.kv_u64("resumed", self.resumed as u64);
         j.kv_u64("checkpoint_writes", self.checkpoint_writes);
-        j.kv_u64("cache_hits", self.cache.hits);
-        j.kv_u64("cache_misses", self.cache.misses);
-        j.kv_u64("cache_evictions", self.cache.evictions);
-        j.kv_u64("cache_size_evictions", self.cache.size_evictions);
-        j.kv_u64("cache_store_failures", self.cache.store_failures);
-        j.kv_u64("store_hits", self.store.hits);
-        j.kv_u64("store_misses", self.store.misses);
-        j.kv_u64("store_writes", self.store.writes);
-        j.kv_u64("store_quarantined", self.store.quarantined);
-        j.kv_u64("store_write_failures", self.store.write_failures);
-        j.kv_u64("store_lock_reclaims", self.store.lock_reclaims);
         j.kv_f64("cell_wall_ms_sum", wall_sum);
         j.kv_f64("cell_wall_ms_max", wall.iter().copied().fold(0.0, f64::max));
         j.kv_f64("cell_wall_ms_mean", wall_sum / (cells.max(1)) as f64);
@@ -391,22 +379,9 @@ impl ResultsFile {
         j.kv_str("mode", &self.mode);
         j.kv_u64("workers", self.workers as u64);
         j.key("capture_cache");
-        j.begin_obj();
-        j.kv_u64("hits", self.cache.hits);
-        j.kv_u64("misses", self.cache.misses);
-        j.kv_u64("evictions", self.cache.evictions);
-        j.kv_u64("size_evictions", self.cache.size_evictions);
-        j.kv_u64("store_failures", self.cache.store_failures);
-        j.end_obj();
+        self.cache.write_json(&mut j);
         j.key("store");
-        j.begin_obj();
-        j.kv_u64("hits", self.store.hits);
-        j.kv_u64("misses", self.store.misses);
-        j.kv_u64("writes", self.store.writes);
-        j.kv_u64("quarantined", self.store.quarantined);
-        j.kv_u64("write_failures", self.store.write_failures);
-        j.kv_u64("lock_reclaims", self.store.lock_reclaims);
-        j.end_obj();
+        self.store.write_json(&mut j);
         j.key("metrics");
         self.write_metrics_json(&mut j);
         j.kv_f64("wall_ms", self.wall_ms);
@@ -604,12 +579,12 @@ mod tests {
         }
     }
 
-    fn file_with(mode: &str, workers: usize, wall_ms: f64, cache: CacheCounters) -> ResultsFile {
+    fn file_with(mode: &str, workers: usize, wall_ms: f64, cache: EntryCounters) -> ResultsFile {
         ResultsFile {
             mode: mode.into(),
             workers,
             cache,
-            store: StoreCounters::default(),
+            store: EntryCounters::default(),
             wall_ms,
             resumed: 0,
             checkpoint_writes: 0,
@@ -643,7 +618,7 @@ mod tests {
             (cell.mrays_per_sec(&gpu) - plain_mrays / gpu.smx_count as f64).abs() < 1e-12,
             "chip cells must not re-scale by smx_count"
         );
-        let mut file = file_with("fig2", 1, 1.0, CacheCounters::default());
+        let mut file = file_with("fig2", 1, 1.0, EntryCounters::default());
         file.cells = vec![(vec!["fig2".into()], cell)];
         for json in [file.to_json(), file.stats_json()] {
             for needle in [
@@ -665,7 +640,7 @@ mod tests {
     #[test]
     fn results_file_contains_required_fields() {
         let mut file =
-            file_with("fig10", 4, 12.5, CacheCounters { hits: 3, misses: 1, ..Default::default() });
+            file_with("fig10", 4, 12.5, EntryCounters { hits: 3, misses: 1, ..Default::default() });
         file.cells = vec![(vec!["fig10".into(), "fig11".into()], sample_cell())];
         let json = file.to_json();
         for needle in [
@@ -690,9 +665,9 @@ mod tests {
             "fig10",
             4,
             12.5,
-            CacheCounters { hits: 3, misses: 1, size_evictions: 2, ..Default::default() },
+            EntryCounters { hits: 3, misses: 1, size_evictions: 2, ..Default::default() },
         );
-        file.store = StoreCounters { hits: 5, misses: 7, writes: 7, ..Default::default() };
+        file.store = EntryCounters { hits: 5, misses: 7, writes: 7, ..Default::default() };
         file.cells = vec![(vec!["fig10".into()], sample_cell())];
         let run = file.run_json();
         for needle in [
@@ -703,12 +678,13 @@ mod tests {
             "\"store\":{\"hits\":5,\"misses\":7,\"writes\":7",
             "\"metrics\":{\"cells_total\":1",
             "\"retries\":0",
-            "\"cache_hits\":3",
-            "\"store_hits\":5",
             "\"wall_ms\":12.5",
         ] {
             assert!(run.contains(needle), "missing {needle} in {run}");
         }
+        // Each counter set is written once, as its own object.
+        assert_eq!(run.matches("\"hits\":").count(), 2, "{run}");
+        assert!(!run.contains("cache_hits") && !run.contains("store_hits"), "{run}");
         // The results document is deterministic: none of the run-volatile
         // fields appear (per-cell wall_ms is the only timing it carries).
         let json = file.to_json();
@@ -724,9 +700,9 @@ mod tests {
                 "fig2",
                 workers,
                 workers as f64 * 7.0,
-                CacheCounters { hits, ..Default::default() },
+                EntryCounters { hits, ..Default::default() },
             );
-            f.store = StoreCounters { hits, ..Default::default() };
+            f.store = EntryCounters { hits, ..Default::default() };
             f.cells = vec![(vec!["fig2".into()], sample_cell())];
             f
         };
@@ -744,7 +720,7 @@ mod tests {
                 "fig2",
                 workers,
                 wall_ms,
-                CacheCounters { hits: workers as u64, ..Default::default() },
+                EntryCounters { hits: workers as u64, ..Default::default() },
             );
             f.cells = vec![(vec!["fig2".into()], CellResult { wall_ms, ..sample_cell() })];
             f
@@ -770,7 +746,7 @@ mod tests {
             injected: true,
             warp_dump: Some("warp 0: stalled".into()),
         });
-        let mut file = file_with("fig2", 1, 1.0, CacheCounters::default());
+        let mut file = file_with("fig2", 1, 1.0, EntryCounters::default());
         file.cells = vec![(vec!["fig2".into()], cell)];
         for json in [file.to_json(), file.stats_json()] {
             for needle in [
@@ -786,7 +762,7 @@ mod tests {
             }
         }
         // Clean cells stay failure-free in both documents.
-        let mut clean = file_with("fig2", 1, 1.0, CacheCounters::default());
+        let mut clean = file_with("fig2", 1, 1.0, EntryCounters::default());
         clean.cells = vec![(vec!["fig2".into()], sample_cell())];
         assert!(!clean.to_json().contains("\"failure\""));
         assert!(!clean.stats_json().contains("\"failure\""));
@@ -794,7 +770,7 @@ mod tests {
 
     #[test]
     fn artifacts_absent_without_telemetry() {
-        let mut file = file_with("fig2", 1, 1.0, CacheCounters::default());
+        let mut file = file_with("fig2", 1, 1.0, EntryCounters::default());
         file.cells = vec![(vec!["fig2".into()], sample_cell())];
         assert!(file.timeline_json().is_none());
         assert!(file.chrome_trace_json().is_none());
@@ -810,7 +786,7 @@ mod tests {
             totals: [20, 0, 0, 0, 0, 0, 0, 0],
             ..TelemetryReport::default()
         });
-        let mut file = file_with("fig2", 1, 1.0, CacheCounters::default());
+        let mut file = file_with("fig2", 1, 1.0, EntryCounters::default());
         file.cells = vec![(vec!["fig2".into()], sample_cell()), (vec!["fig2".into()], cell)];
         let timeline = file.timeline_json().expect("one instrumented cell");
         assert!(timeline.contains("\"suite\":\"drs-telemetry-timeline\""));
@@ -849,7 +825,7 @@ mod tests {
         let mut cell = sample_cell();
         cell.sm_telemetry = vec![sm_report.clone(), sm_report];
         cell.chip_telemetry = Some(chip_report);
-        let mut file = file_with("fig2", 1, 1.0, CacheCounters::default());
+        let mut file = file_with("fig2", 1, 1.0, EntryCounters::default());
         file.cells = vec![(vec!["fig2".into()], cell)];
         // Results JSON embeds the compact chip-telemetry totals.
         assert!(file.to_json().contains("\"chip_telemetry\":{\"sms\":2"));

@@ -131,7 +131,7 @@ fn warm_cache_rerun_is_identical_and_skips_capture() {
         "cache-hit counter must equal the distinct workload count"
     );
     assert_eq!(warm.cache.misses, 0);
-    assert_eq!(warm.cache.evictions, 0);
+    assert_eq!(warm.cache.quarantined, 0);
 
     for (c, w) in cold.cells.iter().zip(warm.cells.iter()) {
         assert_eq!(c.stats, w.stats, "cached capture changed the simulation result");

@@ -4,8 +4,8 @@
 //! store merges to a bit-identical result.
 
 use drs_harness::{
-    figures, run_jobs, CellResult, CheckpointSpec, ChipConfig, FaultPlan, ResultStore, ResultsFile,
-    RunOptions, Scale, SimJob,
+    figures, run_jobs, CaptureMode, CellResult, CheckpointSpec, ChipConfig, FaultPlan, ResultStore,
+    ResultsFile, RunOptions, Scale, SimJob, StreamCache,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -125,7 +125,7 @@ fn transient_fault_recovers_and_result_is_bit_identical() {
     let clean = run_jobs(&jobs, &opts());
 
     // x1: the fault fires only on the first attempt; the retry succeeds.
-    let faults = FaultPlan::parse("panic@0x1,cache@2x1").unwrap();
+    let faults = FaultPlan::parse("panic@0x1,watchdog@2x1").unwrap();
     let report = run_jobs(&jobs, &RunOptions { faults, ..opts() });
     assert!(report.all_clean(), "transient faults must be absorbed by the retry layer");
     assert_eq!(report.cells[0].attempts, 2);
@@ -140,13 +140,44 @@ fn transient_fault_recovers_and_result_is_bit_identical() {
 fn exhausted_retries_keep_the_failure_of_the_final_attempt() {
     let jobs = tiny_fig2_jobs();
     // Zero retries: even a transient fault is terminal on the first attempt.
-    let faults = FaultPlan::parse("cache@1").unwrap();
+    let faults = FaultPlan::parse("panic@1").unwrap();
     let report = run_jobs(&jobs, &RunOptions { faults, retries: 0, ..opts() });
     let cell = &report.cells[1];
     let f = cell.failure.as_ref().expect("no retry budget, so the cell fails");
-    assert_eq!(f.kind, "cache_corrupt");
+    assert_eq!(f.kind, "panic");
     assert_eq!(cell.attempts, 1);
     assert_eq!(report.failed_cells().count(), 1);
+}
+
+#[test]
+fn cache_fault_quarantines_the_entry_and_recaptures_identical_cells() {
+    let jobs = tiny_fig2_jobs();
+    let clean = run_jobs(&jobs, &opts());
+    let dir = temp_checkpoint();
+    let cached = |faults: &str| RunOptions {
+        capture: CaptureMode::Cached(StreamCache::new(&dir)),
+        faults: FaultPlan::parse(faults).unwrap(),
+        ..opts()
+    };
+    // A cold run warms the cache; without an entry the fault is absorbed.
+    assert_eq!(run_jobs(&jobs, &cached("cache@2")).cache.quarantined, 0);
+
+    let report = run_jobs(&jobs, &cached("cache@2"));
+    assert!(report.all_clean(), "a damaged cache entry must never fail a cell");
+    assert_eq!(report.cache.quarantined, 1, "the damaged entry is quarantined");
+    assert_eq!((report.cache.hits, report.cache.misses), (0, 1), "and recaptured");
+    for (got, want) in report.cells.iter().zip(&clean.cells) {
+        assert_eq!(got.stats, want.stats, "recaptured cells must match the clean run");
+        assert_eq!(got.attempts, 1, "recapture happens before any attempt");
+    }
+    assert_eq!(files_in(&dir.join("quarantine")), 1, "the damaged entry is kept aside");
+    assert_eq!(run_jobs(&jobs, &cached("")).cache.hits, 1, "the recaptured entry is served");
+    // The fault acts before any attempt: an organic failure of the cell
+    // is neither marked injected nor retried.
+    let capped = run_jobs(&jobs, &RunOptions { job_cycle_budget: Some(16), ..cached("cache@2") });
+    let f = capped.cells[2].failure.as_ref().expect("a 16-cycle budget fails the cell");
+    assert_eq!((f.kind.as_str(), f.injected, capped.cells[2].attempts), ("cycle_limit", false, 1));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

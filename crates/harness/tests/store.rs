@@ -9,9 +9,9 @@
 //!    (injected via the `store` fault kind) is detected by the footer
 //!    checksum, moved to `quarantine/`, never served, and the cell is
 //!    re-simulated to an identical result.
-//! 3. **Concurrent runs agree**: two whole runs over one store directory,
-//!    each through its own [`ResultStore`] handle, race their writes
-//!    (serialized per entry by the store's lock files) and still emit
+//! 3. **Concurrent runs agree**: two whole runs over one store directory
+//!    and one capture-cache directory, each through its own handles, race
+//!    their writes (serialized per entry by lock files) and still emit
 //!    byte-identical documents.
 
 use drs_harness::{
@@ -131,32 +131,31 @@ fn corrupted_entries_are_quarantined_and_recomputed() {
 #[test]
 fn two_runs_racing_one_store_agree_byte_for_byte() {
     let store_dir = fresh_dir("race");
+    let cache_dir = fresh_dir("race-cache");
     let jobs = figures::fig2(&tiny_scale()).jobs;
     let n = jobs.len();
-    // Separate capture caches, so the only shared state is the store.
-    let run = |tag: &str| {
-        let cache_dir = fresh_dir(tag);
-        let report =
-            pool::run_jobs(&jobs, &RunOptions { workers: 2, ..opts(&store_dir, &cache_dir) });
-        let _ = std::fs::remove_dir_all(&cache_dir);
-        report
-    };
+    // One capture cache and one store, both raced.
+    let run = || pool::run_jobs(&jobs, &RunOptions { workers: 2, ..opts(&store_dir, &cache_dir) });
 
     let (a, b) = std::thread::scope(|s| {
-        let b = s.spawn(|| run("race-cache-b"));
-        (run("race-cache-a"), b.join().expect("run thread panicked"))
+        let b = s.spawn(run);
+        (run(), b.join().expect("run thread panicked"))
     });
     assert!(a.all_clean() && b.all_clean());
-    assert_eq!(a.store.quarantined, 0, "a racing writer must never leave a torn entry");
-    assert_eq!(b.store.quarantined, 0, "a racing writer must never leave a torn entry");
+    for report in [&a, &b] {
+        let torn = report.store.quarantined + report.cache.quarantined;
+        assert_eq!(torn, 0, "a racing writer must never leave a torn entry");
+        assert_eq!(report.store.write_failures + report.cache.write_failures, 0);
+    }
     let stats = |report| {
         ResultsFile::from_report("fig2", 2, report, vec![vec!["fig2".to_string()]; n]).stats_json()
     };
     assert_eq!(stats(a), stats(b), "racing runs must agree on the document bytes");
 
-    let warm = run("race-cache-warm");
+    let warm = run();
     assert_eq!(warm.store.hits, n as u64, "a third run is served entirely from the store");
     assert_eq!(warm.store.quarantined, 0);
 
     let _ = std::fs::remove_dir_all(&store_dir);
+    let _ = std::fs::remove_dir_all(&cache_dir);
 }
