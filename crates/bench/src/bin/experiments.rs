@@ -1,69 +1,31 @@
 //! Regenerates every table and figure of the paper's evaluation section
 //! through the `drs-harness` job pool.
 //!
-//! Usage: `experiments [MODE] [--jobs N] [--out PATH] [--no-cache]
-//! [--timeline] [--trace-out PATH] [--interval N] [--progress] [--list]`
-//! where MODE is one of `table1 | fig2 | fig8 | fig9 | table2 | fig10 |
-//! fig11 | overhead | ablation | energy | all` (default `all`).
-//!
-//! `--timeline` attaches the telemetry collector to every cell and writes
-//! stall-attribution totals plus interval timelines to
-//! `<out stem>_timeline.json`; `--trace-out PATH` additionally records
-//! per-warp stall spans as Chrome trace-event JSON (open in
-//! `chrome://tracing` or Perfetto).
+//! Usage: `experiments [MODE] [OPTIONS]`; `experiments --help` lists
+//! every mode and flag (the text is `drs_bench::cli::USAGE`).
 //!
 //! Each figure is a declarative job set (`drs_harness::figures`); the
 //! union of the requested figures' cells is deduplicated by content-
 //! derived job id (fig10 and fig11 share their whole grid), executed in
 //! parallel with bit-deterministic results, and written both as the
 //! familiar stdout tables and as machine-readable JSON
-//! (`BENCH_experiments.json`).
+//! (`BENCH_experiments.json`). Fig. 2, 10 and 11 print from the same
+//! figure values `report` renders into RESULTS.md (`drs_bench::figure`).
 //!
 //! Scaling knobs: `DRS_RAYS`, `DRS_TRIS_SCALE`, `DRS_WARPS_SCALE` (see the
 //! `drs-bench` crate docs). Absolute Mrays/s values depend on the scaled
 //! workloads; the comparisons (who wins, by what factor) are the result.
 
-use drs_bench::{cli, Aggregate};
+use drs_bench::{cli, figure, Cells};
 use drs_core::overhead::{dmk_spawn_memory_bytes, paper, tbc_warp_buffer_bytes, DrsOverhead};
 use drs_core::DrsConfig;
 use drs_harness::{
-    figures, run_cell, run_jobs, CaptureMode, CellConfig, CellResult, CheckpointSpec, ChipConfig,
-    JobId, Method, ResultStore, ResultsFile, RunOptions, Scale, SimJob, StreamCache, WorkloadSpec,
+    figures, run_cell, run_jobs, CaptureMode, CellConfig, CellRecord, CheckpointSpec, ChipConfig,
+    JobId, Method, ResultStore, ResultsFile, RunOptions, Scale, SimJob, StreamCache,
 };
 use drs_scene::SceneKind;
 use drs_sim::{ActiveHistogram, GpuConfig};
 use std::collections::HashMap;
-
-/// Cells of the current run, addressable by content-derived job id.
-struct Cells {
-    by_id: HashMap<JobId, CellResult>,
-    scale: Scale,
-    /// The chip config every job ran with (`--chip`), or `None` for the
-    /// default single-SMX cells scaled by the SMX count.
-    chip: Option<ChipConfig>,
-}
-
-impl Cells {
-    /// The cell for (scene, bounce, method), if it was part of the run.
-    fn get(&self, scene: SceneKind, bounce: usize, method: Method) -> Option<&CellResult> {
-        let workload = WorkloadSpec::standard(scene, &self.scale, figures::CANONICAL_DEPTH);
-        let job = SimJob {
-            workload,
-            bounce,
-            method,
-            warps: self.scale.warps(method.paper_warps()),
-            chip: self.chip,
-        };
-        self.by_id.get(&job.id())
-    }
-
-    /// Like [`Cells::get`] but demands presence (enumeration bug otherwise).
-    fn require(&self, scene: SceneKind, bounce: usize, method: Method) -> &CellResult {
-        self.get(scene, bounce, method).unwrap_or_else(|| {
-            panic!("cell missing from run: {scene} B{bounce} {}", method.label())
-        })
-    }
-}
 
 fn main() {
     let cli = match cli::parse(std::env::args().skip(1)) {
@@ -171,7 +133,6 @@ fn main() {
             )
         })
         .collect();
-    let resumed = report.resumed;
     if let Some(chip) = &chip_cfg {
         println!(
             "[full-chip mode: {} SMs sharing one L2/MSHR/DRAM system ({}); throughput is \
@@ -180,11 +141,8 @@ fn main() {
             chip.canonical()
         );
     }
-    let cells = Cells {
-        by_id: report.cells.iter().map(|c| (c.job.id(), c.clone())).collect(),
-        scale,
-        chip: chip_cfg,
-    };
+    let results = ResultsFile::from_report(&cli.mode, cli.workers, report, figures_of);
+    let cells = Cells::new(results.doc());
 
     for mode in &modes {
         match *mode {
@@ -196,41 +154,30 @@ fn main() {
             "fig10" => fig10(&cells),
             "fig11" => fig11(&cells),
             "overhead" => overhead(),
-            "ablation" => ablation(&cells),
+            "ablation" => ablation(&cells, scale),
             "energy" => energy(&cells),
             other => unreachable!("unhandled mode {other}"),
         }
     }
 
-    let cache = report.cache;
-    let results = ResultsFile::from_report(&cli.mode, cli.workers, report, figures_of);
-    match results.write_to(&cli.out) {
-        Ok(()) => {
-            let resumed_note = if resumed > 0 {
-                format!("; {resumed} resumed from checkpoint")
-            } else {
-                String::new()
-            };
-            let store_note = if cli.store {
-                format!("; store: {} hit / {} miss", results.store.hits, results.store.misses)
-            } else {
-                String::new()
-            };
-            println!(
-                "\n[{} cells -> {}; capture cache: {} hit / {} miss / {} quarantined{store_note}{resumed_note}; {:.1}s]",
-                results.cells.len(),
-                cli.out.display(),
-                cache.hits,
-                cache.misses,
-                cache.quarantined,
-                results.wall_ms / 1e3
-            );
-        }
-        Err(e) => {
-            eprintln!("error: could not write {}: {e}", cli.out.display());
-            std::process::exit(1);
-        }
-    }
+    write_or_exit(&cli.out, &results.to_json());
+    let resumed = results.resumed;
+    let resumed_note =
+        if resumed > 0 { format!("; {resumed} resumed from checkpoint") } else { String::new() };
+    let store_note = if cli.store {
+        format!("; store: {} hit / {} miss", results.store.hits, results.store.misses)
+    } else {
+        String::new()
+    };
+    println!(
+        "\n[{} cells -> {}; capture cache: {} hit / {} miss / {} quarantined{store_note}{resumed_note}; {:.1}s]",
+        results.cells.len(),
+        cli.out.display(),
+        results.cache.hits,
+        results.cache.misses,
+        results.cache.quarantined,
+        results.wall_ms / 1e3
+    );
     // The volatile run facts (wall clock, workers, cache/store counters)
     // go to a sidecar so the results file itself stays byte-identical
     // across reruns.
@@ -238,20 +185,14 @@ fn main() {
         eprintln!("warning: could not write {}: {e}", cli.run_path().display());
     }
     if let Some(dump) = &cli.stats_dump {
-        if let Err(e) = drs_harness::write_text(dump, &results.stats_json()) {
-            eprintln!("error: could not write {}: {e}", dump.display());
-            std::process::exit(1);
-        }
+        write_or_exit(dump, &results.stats_json());
         println!("[stats dump -> {}]", dump.display());
     }
     if cli.telemetry_enabled() {
         let timeline = cli.timeline_path();
         match results.timeline_json() {
             Some(json) => {
-                if let Err(e) = drs_harness::write_text(&timeline, &json) {
-                    eprintln!("error: could not write {}: {e}", timeline.display());
-                    std::process::exit(1);
-                }
+                write_or_exit(&timeline, &json);
                 println!("[timeline -> {}]", timeline.display());
             }
             None => println!("[timeline: no instrumented cells in this mode]"),
@@ -267,10 +208,7 @@ fn main() {
                         eprintln!("error: generated chrome trace failed validation: {e}");
                         std::process::exit(1);
                     });
-                if let Err(e) = drs_harness::write_text(trace_path, &json) {
-                    eprintln!("error: could not write {}: {e}", trace_path.display());
-                    std::process::exit(1);
-                }
+                write_or_exit(trace_path, &json);
                 println!(
                     "[chrome trace -> {}; {} rows, {} spans; load in chrome://tracing]",
                     trace_path.display(),
@@ -327,9 +265,7 @@ fn list_modes(scale: &Scale) {
             continue;
         }
         match mode {
-            "report" => {
-                println!("{:10} {:>6}  render BENCH_experiments.json -> RESULTS.md", mode, 0);
-            }
+            "report" => println!("{mode:10} {:>6}  render BENCH_experiments.json -> RESULTS.md", 0),
             "verify" => println!(
                 "{:10} {:>6}  static analysis of {} kernel programs -> BENCH_verify.json",
                 mode,
@@ -500,13 +436,8 @@ fn verify_mode(cli: &cli::Cli) {
     j.kv_bool("clean", total_errors == 0);
     j.kv_u64("total_errors", total_errors as u64);
     j.end_obj();
-    match drs_harness::write_text(&out, &j.finish()) {
-        Ok(()) => println!("[static analysis -> {}]", out.display()),
-        Err(e) => {
-            eprintln!("error: could not write {}: {e}", out.display());
-            std::process::exit(1);
-        }
-    }
+    write_or_exit(&out, &j.finish());
+    println!("[static analysis -> {}]", out.display());
     if total_errors > 0 {
         eprintln!("error: {total_errors} error-severity diagnostic(s); see {}", out.display());
         std::process::exit(1);
@@ -527,14 +458,7 @@ fn report_mode(cli: &cli::Cli) {
             std::process::exit(1);
         }
     };
-    let doc = match drs_telemetry::check::parse(&text) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("error: {} is not valid JSON: {e}", cli.out.display());
-            std::process::exit(1);
-        }
-    };
-    let md = match drs_bench::report::render(&doc) {
+    let md = match drs_bench::report::render_json(&text) {
         Ok(md) => md,
         Err(e) => {
             eprintln!("error: {}: {e}", cli.out.display());
@@ -542,12 +466,15 @@ fn report_mode(cli: &cli::Cli) {
         }
     };
     let out = cli.out.with_file_name("RESULTS.md");
-    match drs_harness::write_text(&out, md.trim_end()) {
-        Ok(()) => println!("[report -> {}]", out.display()),
-        Err(e) => {
-            eprintln!("error: could not write {}: {e}", out.display());
-            std::process::exit(1);
-        }
+    write_or_exit(&out, md.trim_end());
+    println!("[report -> {}]", out.display());
+}
+
+/// Write `text` to `path`, or exit 1 saying why it could not be written.
+fn write_or_exit(path: &std::path::Path, text: &str) {
+    if let Err(e) = drs_harness::write_text(path, text) {
+        eprintln!("error: could not write {}: {e}", path.display());
+        std::process::exit(1);
     }
 }
 
@@ -587,20 +514,17 @@ fn histogram_row(h: &ActiveHistogram) -> String {
 /// conference room.
 fn fig2(cells: &Cells) {
     banner("Figure 2: Aila kernel SIMD efficiency per bounce (conference room)");
-    for b in 1..=figures::CANONICAL_DEPTH {
-        let cell = cells.require(SceneKind::Conference, b, Method::Aila);
-        if cell.empty {
-            println!("B{b}: (no surviving rays)");
-            continue;
+    for (b, issued) in figure::fig2(cells).expect("the run holds every fig2 cell").bounces {
+        match issued {
+            Some(h) => println!("B{b}: {}", histogram_row(&h)),
+            None => println!("B{b}: (no surviving rays)"),
         }
-        println!("B{b}: {}", histogram_row(&cell.stats.issued));
     }
 }
 
 /// Figure 8: Mrays/s for bounces 1-4 under different backup-row configs.
 fn fig8(cells: &Cells) {
     banner("Figure 8: ray tracing performance (Mrays/s) vs backup ray rows");
-    let gpu = GpuConfig::gtx780();
     for kind in SceneKind::ALL {
         println!("\n{kind}:");
         print!("{:26}", "");
@@ -615,7 +539,7 @@ fn fig8(cells: &Cells) {
                 if cell.empty {
                     print!("      --");
                 } else {
-                    print!("  {:6.1}", cell.mrays_per_sec(&gpu));
+                    print!("  {:6.1}", cells.mrays(&cell.stats));
                 }
             }
             println!();
@@ -651,12 +575,11 @@ fn fig9(cells: &Cells) {
 /// Table 2: Mrays/s vs swap-buffer count, plus average swap latency.
 fn table2(cells: &Cells) {
     banner("Table 2: ray tracing performance vs swap buffers (1 backup row)");
-    let gpu = GpuConfig::gtx780();
     println!("{:16} {:>4} {:>9} {:>9} {:>9} {:>9}", "scene", "", "#6", "#9", "#12", "#18");
     let mut swap_cycles = vec![(0u64, 0u64); figures::TABLE2_BUFFERS.len()];
     for kind in SceneKind::ALL {
         for b in 1..=4 {
-            let row: Vec<&CellResult> = figures::TABLE2_BUFFERS
+            let row: Vec<&CellRecord> = figures::TABLE2_BUFFERS
                 .iter()
                 .map(|&buffers| {
                     let method =
@@ -671,7 +594,7 @@ fn table2(cells: &Cells) {
             for (i, cell) in row.iter().enumerate() {
                 swap_cycles[i].0 += cell.stats.swap_cycle_sum;
                 swap_cycles[i].1 += cell.stats.swaps_completed;
-                print!(" {:9.2}", cell.mrays_per_sec(&gpu));
+                print!(" {:9.2}", cells.mrays(&cell.stats));
             }
             println!();
         }
@@ -686,40 +609,23 @@ fn table2(cells: &Cells) {
 /// Figure 10: SIMD efficiency and utilization breakdown for all methods.
 fn fig10(cells: &Cells) {
     banner("Figure 10: SIMD efficiency and utilization breakdown");
-    for kind in SceneKind::ALL {
-        println!("\n{kind}:");
-        for method in figures::comparison_methods() {
-            println!("  {}:", method.label());
-            let mut agg_all = ActiveHistogram::default();
-            let mut agg_si = ActiveHistogram::default();
-            for b in 1..=figures::CANONICAL_DEPTH {
-                let cell = cells.require(kind, b, method);
-                if cell.empty {
-                    continue;
-                }
-                agg_all.merge(&cell.stats.issued);
-                agg_si.merge(&cell.stats.issued_si);
-                if b <= 3 {
-                    let si = if cell.stats.issued_si.total > 0 {
-                        format!(
-                            "  SI {:4.1}%",
-                            cell.stats.issued_si.total as f64
-                                / (cell.stats.issued.total + cell.stats.issued_si.total) as f64
-                                * 100.0
-                        )
-                    } else {
-                        String::new()
-                    };
-                    println!("    B{b}: {}{si}", histogram_row(&cell.stats.issued));
-                }
+    for scene in figure::fig10(cells).expect("the run holds every fig10 cell") {
+        println!("\n{}:", scene.scene);
+        for row in scene.rows {
+            println!("  {}:", row.method.label());
+            for (b, stats) in row.bounces.iter().filter(|(b, _)| *b <= 3) {
+                let (issued, si) = (stats.issued.total, stats.issued_si.total);
+                let share = if si > 0 {
+                    format!("  SI {:4.1}%", si as f64 / (issued + si) as f64 * 100.0)
+                } else {
+                    String::new()
+                };
+                println!("    B{b}: {}{share}", histogram_row(&stats.issued));
             }
-            let mut combined = agg_all;
-            combined.merge(&agg_si);
-            let si_share = if combined.total > 0 {
-                agg_si.total as f64 / combined.total as f64 * 100.0
-            } else {
-                0.0
-            };
+            let overall = row.overall.unwrap_or_default();
+            let mut combined = overall.issued;
+            combined.merge(&overall.issued_si);
+            let si_share = overall.issued_si.total as f64 / combined.total.max(1) as f64 * 100.0;
             println!("    overall: {}  (SI share {:.1}%)", histogram_row(&combined), si_share);
         }
     }
@@ -728,49 +634,32 @@ fn fig10(cells: &Cells) {
 /// Figure 11: simulated performance and speedups normalized to Aila.
 fn fig11(cells: &Cells) {
     banner("Figure 11: performance (Mrays/s) and speedup vs Aila");
-    let gpu = GpuConfig::gtx780();
-    // Chip cells aggregate every SM's rays already; scaling by the SMX
-    // count again would double-count (see CellResult::mrays_per_sec).
-    let smx = if cells.chip.is_some() { 1 } else { gpu.smx_count };
-    let methods = figures::comparison_methods();
-    let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); methods.len()];
-    for kind in SceneKind::ALL {
-        println!("\n{kind}:");
-        let mut overall = Vec::new();
-        for method in methods {
-            let mut agg = Aggregate::default();
-            let mut per_bounce = Vec::new();
-            for b in 1..=figures::CANONICAL_DEPTH {
-                let cell = cells.require(kind, b, method);
-                if cell.empty {
-                    continue;
-                }
-                agg.add(&cell.stats);
-                if per_bounce.len() < 3 {
-                    per_bounce.push(format!("{:6.1}", cell.mrays_per_sec(&gpu)));
-                }
-            }
-            let mrays = agg.mrays_at(gpu.clock_mhz, smx);
+    let fig = figure::fig11(cells).expect("the run holds every fig11 cell");
+    for scene in &fig.scenes {
+        println!("\n{}:", scene.scene);
+        for row in &scene.rows {
+            let first: Vec<String> = row
+                .bounces
+                .iter()
+                .take(3)
+                .map(|(_, s)| format!("{:6.1}", cells.mrays(s)))
+                .collect();
             println!(
                 "  {:12} B1-B3 [{}]  overall {:7.1} Mrays/s",
-                method.label(),
-                per_bounce.join(" "),
-                mrays
+                row.method.label(),
+                first.join(" "),
+                row.mrays.unwrap_or(0.0)
             );
-            overall.push(mrays);
         }
-        let aila = overall[0].max(1e-9);
         print!("  speedup vs Aila:");
-        for (mi, v) in overall.iter().enumerate() {
-            print!("  {} {:.2}x", methods[mi].label(), v / aila);
-            speedups[mi].push(v / aila);
+        for row in &scene.rows {
+            print!("  {} {}", row.method.label(), figure::times(row.speedup));
         }
         println!();
     }
     println!("\naverage speedups over the four scenes:");
-    for (mi, method) in methods.iter().enumerate() {
-        let avg = speedups[mi].iter().sum::<f64>() / speedups[mi].len().max(1) as f64;
-        println!("  {:12} {:.2}x", method.label(), avg);
+    for (method, avg) in &fig.averages {
+        println!("  {:12} {}", method.label(), figure::times(*avg));
     }
 }
 
@@ -824,13 +713,12 @@ fn overhead() {
 /// Ablations of the design choices DESIGN.md calls out: Aila's software
 /// optimizations (run through the harness grid) and the BVH build quality
 /// feeding every experiment (functional, not simulation cells).
-fn ablation(cells: &Cells) {
-    use drs_bvh::{BuildMethod, BuildParams, Bvh};
+fn ablation(cells: &Cells, scale: Scale) {
+    use drs_bvh::{BuildMethod, BuildParams, Bvh, KdBuildParams, KdTree};
     use drs_trace::BounceStreams;
 
     banner("Ablations");
     let gpu = GpuConfig::gtx780();
-    let scale = cells.scale;
 
     println!("Aila software-optimization ablation (conference, bounce 2):");
     for (label, method) in figures::ablation_variants() {
@@ -838,40 +726,35 @@ fn ablation(cells: &Cells) {
         println!(
             "  {label} eff {:5.1}%  {:7.1} Mrays/s",
             cell.stats.issued.simd_efficiency() * 100.0,
-            cell.mrays_per_sec(&gpu)
+            cells.mrays(&cell.stats)
         );
     }
 
+    let scene = SceneKind::Conference.build_with_tris(scale.tris(SceneKind::Conference));
     println!("\nAcceleration-structure ablation (conference, functional traversal):");
-    {
-        use drs_bvh::{KdBuildParams, KdTree};
-        let scene = SceneKind::Conference.build_with_tris(scale.tris(SceneKind::Conference));
-        let bvh = Bvh::build(scene.mesh(), &BuildParams::default());
-        let kd = KdTree::build(scene.mesh(), &KdBuildParams::default());
-        let mut bvh_nodes = 0usize;
-        let mut kd_nodes = 0usize;
-        let mut rays = 0usize;
-        for i in 0..64 {
-            for j in 0..48 {
-                let ray =
-                    scene.camera().primary_ray((i as f32 + 0.5) / 64.0, (j as f32 + 0.5) / 48.0);
-                let mut events = 0usize;
-                let _ = bvh.intersect_instrumented(scene.mesh(), &ray, &mut |_| events += 1);
-                bvh_nodes += events;
-                let (_, v) = kd.intersect_counted(scene.mesh(), &ray);
-                kd_nodes += v;
-                rays += 1;
-            }
+    let bvh = Bvh::build(scene.mesh(), &BuildParams::default());
+    let kd = KdTree::build(scene.mesh(), &KdBuildParams::default());
+    let mut bvh_nodes = 0usize;
+    let mut kd_nodes = 0usize;
+    let mut rays = 0usize;
+    for i in 0..64 {
+        for j in 0..48 {
+            let ray = scene.camera().primary_ray((i as f32 + 0.5) / 64.0, (j as f32 + 0.5) / 48.0);
+            let mut events = 0usize;
+            let _ = bvh.intersect_instrumented(scene.mesh(), &ray, &mut |_| events += 1);
+            bvh_nodes += events;
+            let (_, v) = kd.intersect_counted(scene.mesh(), &ray);
+            kd_nodes += v;
+            rays += 1;
         }
-        println!("  BVH (binned SAH)   nodes/ray {:5.1}", bvh_nodes as f64 / rays as f64);
-        println!(
-            "  kd-tree (median)   nodes/ray {:5.1}  (space partitioning, duplicated prims)",
-            kd_nodes as f64 / rays as f64
-        );
     }
+    println!("  BVH (binned SAH)   nodes/ray {:5.1}", bvh_nodes as f64 / rays as f64);
+    println!(
+        "  kd-tree (median)   nodes/ray {:5.1}  (space partitioning, duplicated prims)",
+        kd_nodes as f64 / rays as f64
+    );
 
     println!("\nBVH build-quality ablation (conference, primary rays):");
-    let scene = SceneKind::Conference.build_with_tris(scale.tris(SceneKind::Conference));
     for (label, method) in [
         ("binned SAH (16 bins)", BuildMethod::BinnedSah { bins: 16 }),
         ("median split        ", BuildMethod::Median),

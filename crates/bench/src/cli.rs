@@ -194,27 +194,41 @@ impl Cli {
         self.timeline || self.trace_out.is_some()
     }
 
+    /// `<out stem><suffix>` next to the results file.
+    fn beside_out(&self, suffix: &str) -> PathBuf {
+        let stem = self.out.file_stem().and_then(|s| s.to_str()).unwrap_or("experiments");
+        self.out.with_file_name(format!("{stem}{suffix}"))
+    }
+
     /// Where the timeline artifact goes: `<out stem>_timeline.json` next
     /// to the results file.
     pub fn timeline_path(&self) -> PathBuf {
-        let stem = self.out.file_stem().and_then(|s| s.to_str()).unwrap_or("experiments");
-        self.out.with_file_name(format!("{stem}_timeline.json"))
+        self.beside_out("_timeline.json")
     }
 
     /// Where the run-scoped result store behind `--resume` lives: the
     /// directory `<out stem>_checkpoint/` next to the results file.
     pub fn checkpoint_path(&self) -> PathBuf {
-        let stem = self.out.file_stem().and_then(|s| s.to_str()).unwrap_or("experiments");
-        self.out.with_file_name(format!("{stem}_checkpoint"))
+        self.beside_out("_checkpoint")
     }
 
     /// Where the run-volatile sidecar goes: `<out stem>_run.json` next to
     /// the results file. The results file itself stays deterministic;
     /// wall-clock, worker-count, and cache/store counters live here.
     pub fn run_path(&self) -> PathBuf {
-        let stem = self.out.file_stem().and_then(|s| s.to_str()).unwrap_or("experiments");
-        self.out.with_file_name(format!("{stem}_run.json"))
+        self.beside_out("_run.json")
     }
+}
+
+/// Parse `flag`'s value as an integer of at least 1.
+fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
+    flag: &str,
+    v: &str,
+) -> Result<T, String> {
+    v.parse::<T>()
+        .ok()
+        .filter(|n| *n >= T::from(1))
+        .ok_or(format!("{flag} expects a positive integer, got '{v}'"))
 }
 
 /// Parse a byte size with an optional K/M/G suffix (powers of 1024,
@@ -266,28 +280,14 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
             it.next().ok_or_else(|| format!("{name} requires a value"))
         };
         match flag {
-            "--jobs" => {
-                let v = value("--jobs")?;
-                cli.workers = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("--jobs expects a positive integer, got '{v}'"))?;
-            }
+            "--jobs" => cli.workers = positive(flag, &value(flag)?)?,
             "--out" => cli.out = PathBuf::from(value("--out")?),
             "--no-cache" => cli.use_cache = false,
             "--no-fastpath" => cli.fastpath = false,
             "--stats-dump" => cli.stats_dump = Some(PathBuf::from(value("--stats-dump")?)),
             "--timeline" => cli.timeline = true,
             "--trace-out" => cli.trace_out = Some(PathBuf::from(value("--trace-out")?)),
-            "--interval" => {
-                let v = value("--interval")?;
-                cli.interval = v
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("--interval expects a positive integer, got '{v}'"))?;
-            }
+            "--interval" => cli.interval = positive(flag, &value(flag)?)?,
             "--progress" => cli.progress = true,
             "--retries" => {
                 let v = value("--retries")?;
@@ -295,42 +295,12 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
                     .parse::<u32>()
                     .map_err(|_| format!("--retries expects a non-negative integer, got '{v}'"))?;
             }
-            "--job-timeout" => {
-                let v = value("--job-timeout")?;
-                cli.job_timeout_secs = Some(
-                    v.parse::<u64>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or(format!("--job-timeout expects a positive integer, got '{v}'"))?,
-                );
-            }
-            "--job-cycles" => {
-                let v = value("--job-cycles")?;
-                cli.job_cycles = Some(
-                    v.parse::<u64>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or(format!("--job-cycles expects a positive integer, got '{v}'"))?,
-                );
-            }
+            "--job-timeout" => cli.job_timeout_secs = Some(positive(flag, &value(flag)?)?),
+            "--job-cycles" => cli.job_cycles = Some(positive(flag, &value(flag)?)?),
             "--resume" => cli.resume = true,
             "--chip" => cli.chip = true,
-            "--sms" => {
-                let v = value("--sms")?;
-                cli.sms = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("--sms expects a positive integer, got '{v}'"))?;
-            }
-            "--chip-threads" => {
-                let v = value("--chip-threads")?;
-                cli.chip_threads = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("--chip-threads expects a positive integer, got '{v}'"))?;
-            }
+            "--sms" => cli.sms = positive(flag, &value(flag)?)?,
+            "--chip-threads" => cli.chip_threads = positive(flag, &value(flag)?)?,
             "--inject" => {
                 cli.inject = FaultPlan::parse(&value("--inject")?).map_err(|e| e.to_string())?;
             }

@@ -1,185 +1,36 @@
-//! Rendering `BENCH_experiments.json` into `RESULTS.md` — the `report`
-//! mode of the `experiments` binary.
+//! Rendering a results document into `RESULTS.md` — the `report` mode
+//! of the `experiments` binary.
 //!
-//! The input is the machine-readable results document the binary itself
-//! emits (see `drs_harness::ResultsFile`); the output is a markdown
-//! report with one table per figure, comparing the measured speedups and
-//! SIMD efficiencies against the paper's headline numbers with explicit
-//! pass / deviation markers. Rendering is a pure function of the parsed
-//! document, so it is unit-tested without running any simulation.
+//! The input is the document the binary writes
+//! ([`drs_harness::ResultsFile::to_json`]), read back through the
+//! harness's own decoder ([`drs_harness::ResultsDoc::parse`]) into
+//! [`Cells`]. The figures are the values the stdout tables print
+//! ([`crate::figure`]), formatted here as markdown with pass / deviation
+//! markers against the paper's headline numbers.
 
-use drs_telemetry::check::Value;
+use crate::figure::{self, times, Cells, VsPaper, PASS_BAND};
+use drs_harness::ResultsDoc;
 use std::collections::BTreeMap;
 
-/// The paper's headline DRS speedups over Aila per scene (Fig. 11), in
-/// the paper's scene order. The four-scene average is
-/// [`PAPER_DRS_AVG_SPEEDUP`].
-pub const PAPER_DRS_SPEEDUPS: [(&str, f64); 4] =
-    [("conference room", 1.84), ("fairy forest", 1.92), ("crytek sponza", 1.67), ("plants", 1.83)];
-
-/// The paper's average DRS speedup over the four scenes.
-pub const PAPER_DRS_AVG_SPEEDUP: f64 = 1.79;
-
-/// Relative deviation from the paper's number under which a measured
-/// speedup counts as reproduced. The workloads are procedural stand-ins
-/// at a fraction of the original geometry and ray counts, so the bar is
-/// directional agreement within a generous band, not equality.
-pub const PASS_BAND: f64 = 0.25;
-
-/// One simulation cell pulled out of the results document.
-#[derive(Debug, Clone)]
-struct Cell {
-    scene: String,
-    method: String,
-    bounce: u64,
-    empty: bool,
-    figures: Vec<String>,
-    cycles: f64,
-    rays: f64,
-    /// active-lane sums and issue totals of the normal + SI histograms,
-    /// for overall SIMD efficiency across bounces.
-    active_sum: f64,
-    issued_total: f64,
-    /// Shared-memory-system counters, present only for full-chip cells.
-    chip: Option<ChipCell>,
-}
-
-/// The slice of a full-chip cell's `chip` summary the report footnotes:
-/// L2 hit rate, DRAM-channel utilization, and MSHR-exhaustion stalls.
-#[derive(Debug, Clone, Copy, Default)]
-struct ChipCell {
-    l2_hits: f64,
-    l2_misses: f64,
-    mshr_waits: f64,
-    /// DRAM busy time in 1/1024-cycle fixed point ([`drs_sim::CHIP_TIME_Q`]).
-    dram_busy_q: f64,
-}
-
-fn num(v: &Value, key: &str) -> Result<f64, String> {
-    v.get(key).and_then(Value::as_num).ok_or_else(|| format!("cell missing number '{key}'"))
-}
-
-fn text(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("cell missing string '{key}'"))
-}
-
-fn histogram(stats: &Value, key: &str) -> Result<(f64, f64), String> {
-    let h = stats.get(key).ok_or_else(|| format!("stats missing '{key}'"))?;
-    Ok((num(h, "active_sum")?, num(h, "total")?))
-}
-
-fn parse_cells(doc: &Value) -> Result<Vec<Cell>, String> {
-    let raw = doc
-        .get("cells")
-        .and_then(Value::as_arr)
-        .ok_or("document has no 'cells' array — is this a BENCH_experiments.json?")?;
-    let mut cells = Vec::with_capacity(raw.len());
-    for v in raw {
-        let stats = v.get("stats").ok_or("cell missing 'stats'")?;
-        let (a, t) = histogram(stats, "issued")?;
-        let (a_si, t_si) = histogram(stats, "issued_si")?;
-        cells.push(Cell {
-            scene: text(v, "scene")?,
-            method: text(v, "method")?,
-            bounce: num(v, "bounce")? as u64,
-            empty: matches!(v.get("empty"), Some(Value::Bool(true))),
-            figures: v
-                .get("figures")
-                .and_then(Value::as_arr)
-                .map(|fs| fs.iter().filter_map(Value::as_str).map(str::to_string).collect())
-                .unwrap_or_default(),
-            cycles: num(stats, "cycles")?,
-            rays: num(stats, "rays_completed")?,
-            active_sum: a + a_si,
-            issued_total: t + t_si,
-            chip: v
-                .get("chip")
-                .map(|c| {
-                    Ok::<_, String>(ChipCell {
-                        l2_hits: num(c, "l2_hits")?,
-                        l2_misses: num(c, "l2_misses")?,
-                        mshr_waits: num(c, "mshr_waits")?,
-                        dram_busy_q: num(c, "dram_busy_q")?,
-                    })
-                })
-                .transpose()?,
-        });
-    }
-    Ok(cells)
-}
-
-/// Per-(scene, method) aggregate over bounces — the paper's "overall"
-/// rows: total rays over total cycles, merged issue histograms.
-#[derive(Debug, Default, Clone)]
-struct Overall {
-    rays: f64,
-    cycles: f64,
-    active_sum: f64,
-    issued_total: f64,
-}
-
-impl Overall {
-    /// Throughput up to a constant factor (clock and SMX count cancel in
-    /// every ratio the report prints).
-    fn rate(&self) -> f64 {
-        if self.cycles == 0.0 {
-            0.0
-        } else {
-            self.rays / self.cycles
-        }
-    }
-
-    fn efficiency(&self) -> f64 {
-        if self.issued_total == 0.0 {
-            0.0
-        } else {
-            self.active_sum / (self.issued_total * 32.0)
-        }
-    }
-}
-
-fn aggregate<'a>(cells: impl Iterator<Item = &'a Cell>) -> BTreeMap<(String, String), Overall> {
-    let mut map: BTreeMap<(String, String), Overall> = BTreeMap::new();
-    for c in cells {
-        if c.empty {
-            continue;
-        }
-        let o = map.entry((c.scene.clone(), c.method.clone())).or_default();
-        o.rays += c.rays;
-        o.cycles += c.cycles;
-        o.active_sum += c.active_sum;
-        o.issued_total += c.issued_total;
-    }
-    map
-}
-
-fn in_figure<'a>(cells: &'a [Cell], fig: &'a str) -> impl Iterator<Item = &'a Cell> {
-    cells.iter().filter(move |c| c.figures.iter().any(|f| f == fig))
-}
-
 /// The speedup verdict marker for one scene.
-fn verdict(measured: f64, paper: f64) -> String {
-    let dev = (measured - paper) / paper;
-    if dev.abs() <= PASS_BAND {
-        format!("pass ({:+.0}%)", dev * 100.0)
-    } else {
-        format!("**deviation** ({:+.0}%)", dev * 100.0)
-    }
+fn verdict(v: VsPaper) -> String {
+    let mark = if v.passes() { "pass" } else { "**deviation**" };
+    format!("{mark} ({:+.0}%)", v.deviation() * 100.0)
 }
 
-/// Render the parsed results document to markdown.
+/// Render a results document (the text of `BENCH_experiments.json`) to
+/// markdown.
 ///
 /// # Errors
 ///
-/// Returns a message when the document is missing required fields (wrong
-/// file, or a schema from a different tool).
-pub fn render(doc: &Value) -> Result<String, String> {
-    let mode = doc.get("mode").and_then(Value::as_str).unwrap_or("?").to_string();
-    let chip_sms = chip_sms(doc);
-    let cells = parse_cells(doc)?;
+/// Returns the decoder's message when the text is not a results
+/// document (wrong file, or a schema from a different tool).
+pub fn render_json(text: &str) -> Result<String, String> {
+    Ok(render(&Cells::new(ResultsDoc::parse(text)?)))
+}
+
+/// Render a run's cells to markdown.
+pub fn render(cells: &Cells) -> String {
     let mut md = String::new();
     md.push_str("# Results vs. the paper\n\n");
     md.push_str(
@@ -187,16 +38,17 @@ pub fn render(doc: &Value) -> Result<String, String> {
          (machine-readable output of the experiments binary).\n\n",
     );
     md.push_str(&format!(
-        "- source run mode: `{mode}`, {} simulated cells\n\
+        "- source run mode: `{}`, {} simulated cells\n\
          - workloads are procedural stand-ins at reduced geometry/ray scale \
          (see `DRS_RAYS`, `DRS_TRIS_SCALE`, `DRS_WARPS_SCALE`), so absolute \
          Mrays/s are not comparable to the paper; speedup *ratios* are the \
          reproduction target\n\
          - pass band: within {:.0}% of the paper's per-scene speedup\n",
-        cells.len(),
+        cells.mode,
+        cells.records().count(),
         PASS_BAND * 100.0
     ));
-    match chip_sms {
+    match cells.chip_sms {
         Some(sms) => md.push_str(&format!(
             "- **chip-accurate figures**: cells ran in full-chip mode \
              (`--chip`, {sms} SMs sharing one L2/MSHR/DRAM memory system), \
@@ -210,132 +62,96 @@ pub fn render(doc: &Value) -> Result<String, String> {
         ),
     }
 
-    render_fig11(&mut md, &cells);
-    render_fig2(&mut md, &cells);
-    render_fig10(&mut md, &cells);
-    render_chip_profile(&mut md, &cells);
+    render_fig11(&mut md, cells);
+    render_fig2(&mut md, cells);
+    render_fig10(&mut md, cells);
+    render_chip_profile(&mut md, cells);
 
     md.push_str(
         "---\n\nRegenerate with `cargo run -p drs-bench --release --bin \
          experiments -- all` followed by `… -- report`.\n",
     );
-    Ok(md)
+    md
 }
 
-/// The SM count of a full-chip results document (every cell carries its
-/// `chip_config`), or `None` for classic SMX-count-scaled results.
-fn chip_sms(doc: &Value) -> Option<u64> {
-    doc.get("cells")?
-        .as_arr()?
-        .iter()
-        .find_map(|c| c.get("chip_config"))
-        .and_then(|cfg| cfg.get("sms"))
-        .and_then(Value::as_num)
-        .map(|n| n as u64)
-}
-
-/// The ordered method labels of the four-method comparison grid.
-const COMPARISON: [&str; 4] = ["Aila", "DMK", "TBC", "DRS(M=1,B=6)"];
-
-fn render_fig11(md: &mut String, cells: &[Cell]) {
+fn render_fig11(md: &mut String, cells: &Cells) {
     md.push_str("## Figure 11: speedup over Aila\n\n");
-    let overall = aggregate(in_figure(cells, "fig11"));
-    if overall.is_empty() {
+    let Some(fig) = figure::fig11(cells) else {
         md.push_str("*(no fig11 cells in this results file — run `fig11` or `all`)*\n\n");
         return;
-    }
+    };
     md.push_str("| scene | DMK | TBC | DRS | DRS (paper) | verdict |\n");
     md.push_str("|---|---|---|---|---|---|\n");
-    let mut drs_speedups = Vec::new();
-    for (scene, paper) in PAPER_DRS_SPEEDUPS {
-        let rate =
-            |method: &str| overall.get(&(scene.to_string(), method.to_string())).map(Overall::rate);
-        let Some(aila) = rate("Aila").filter(|&r| r > 0.0) else { continue };
-        let speedup = |method: &str| rate(method).map(|r| r / aila);
-        let fmt = |s: Option<f64>| s.map_or("--".into(), |s| format!("{s:.2}x"));
-        let drs = speedup(COMPARISON[3]);
-        let row_verdict = drs.map_or("--".into(), |d| verdict(d, paper));
+    // A scene without a positive Aila baseline has no speedups to show.
+    for s in fig.scenes.iter().filter(|s| s.rows[0].speedup.is_some()) {
         md.push_str(&format!(
-            "| {scene} | {} | {} | {} | {paper:.2}x | {row_verdict} |\n",
-            fmt(speedup("DMK")),
-            fmt(speedup("TBC")),
-            fmt(drs),
+            "| {} | {} | {} | {} | {:.2}x | {} |\n",
+            s.scene,
+            times(s.rows[1].speedup),
+            times(s.rows[2].speedup),
+            times(s.rows[3].speedup),
+            s.paper,
+            s.drs().map_or("--".into(), verdict),
         ));
-        if let Some(d) = drs {
-            drs_speedups.push(d);
-        }
     }
-    if !drs_speedups.is_empty() {
-        let avg = drs_speedups.iter().sum::<f64>() / drs_speedups.len() as f64;
+    if let Some(avg) = fig.drs_average() {
         md.push_str(&format!(
-            "| **average** |  |  | **{avg:.2}x** | **{PAPER_DRS_AVG_SPEEDUP:.2}x** | {} |\n",
-            verdict(avg, PAPER_DRS_AVG_SPEEDUP)
+            "| **average** |  |  | **{:.2}x** | **{:.2}x** | {} |\n",
+            avg.measured,
+            avg.paper,
+            verdict(avg)
         ));
     }
     md.push('\n');
 }
 
-fn render_fig2(md: &mut String, cells: &[Cell]) {
+fn render_fig2(md: &mut String, cells: &Cells) {
     md.push_str("## Figure 2: Aila SIMD efficiency per bounce (conference room)\n\n");
-    let mut rows: Vec<&Cell> = in_figure(cells, "fig2").filter(|c| !c.empty).collect();
-    rows.sort_by_key(|c| c.bounce);
-    if rows.is_empty() {
+    let Some((fig, [first, last])) = figure::fig2(cells).and_then(|f| f.trend.map(|t| (f, t)))
+    else {
         md.push_str("*(no fig2 cells in this results file — run `fig2` or `all`)*\n\n");
         return;
-    }
-    md.push_str("| bounce | SIMD efficiency |\n|---|---|\n");
-    for c in &rows {
-        let eff = if c.issued_total == 0.0 { 0.0 } else { c.active_sum / (c.issued_total * 32.0) };
-        md.push_str(&format!("| B{} | {:.1}% |\n", c.bounce, eff * 100.0));
-    }
-    let first = rows.first().unwrap();
-    let last = rows.last().unwrap();
-    let eff = |c: &Cell| {
-        if c.issued_total == 0.0 {
-            0.0
-        } else {
-            c.active_sum / (c.issued_total * 32.0)
-        }
     };
+    md.push_str("| bounce | SIMD efficiency |\n|---|---|\n");
+    for (b, h) in &fig.bounces {
+        if let Some(h) = h {
+            md.push_str(&format!("| B{b} | {:.1}% |\n", h.simd_efficiency() * 100.0));
+        }
+    }
     md.push_str(&format!(
         "\nPaper's claim: efficiency collapses with bounce depth as rays \
          diverge. Measured B{}→B{}: {:.1}% → {:.1}% ({}).\n\n",
-        first.bounce,
-        last.bounce,
-        eff(first) * 100.0,
-        eff(last) * 100.0,
-        if eff(last) < eff(first) { "pass" } else { "**deviation**" }
+        first.0,
+        last.0,
+        first.1 * 100.0,
+        last.1 * 100.0,
+        if fig.collapses() { "pass" } else { "**deviation**" }
     ));
 }
 
-fn render_fig10(md: &mut String, cells: &[Cell]) {
+fn render_fig10(md: &mut String, cells: &Cells) {
     md.push_str("## Figure 10: overall SIMD efficiency by method\n\n");
-    let overall = aggregate(in_figure(cells, "fig10"));
-    if overall.is_empty() {
+    let Some(fig) = figure::fig10(cells) else {
         md.push_str("*(no fig10 cells in this results file — run `fig10` or `all`)*\n\n");
         return;
-    }
+    };
     md.push_str("| scene | Aila | DMK | TBC | DRS | ordering |\n|---|---|---|---|---|---|\n");
-    for (scene, _) in PAPER_DRS_SPEEDUPS {
-        let eff = |method: &str| {
-            overall.get(&(scene.to_string(), method.to_string())).map(Overall::efficiency)
-        };
-        let Some(aila) = eff("Aila") else { continue };
-        let drs = eff(COMPARISON[3]);
+    for s in fig.iter().filter(|s| s.efficiency(0).is_some()) {
         // The paper's qualitative result: every compaction scheme beats
         // Aila on efficiency, and DRS is at or near the top.
-        let ordering = match drs {
-            Some(d) if d > aila => "pass (DRS > Aila)",
-            Some(_) => "**deviation** (DRS ≤ Aila)",
+        let ordering = match s.drs_beats_aila() {
+            Some(true) => "pass (DRS > Aila)",
+            Some(false) => "**deviation** (DRS ≤ Aila)",
             None => "--",
         };
-        let fmt = |e: Option<f64>| e.map_or("--".into(), |e| format!("{:.1}%", e * 100.0));
+        let eff = |i| s.efficiency(i).map_or("--".into(), |e| format!("{:.1}%", e * 100.0));
         md.push_str(&format!(
-            "| {scene} | {} | {} | {} | {} | {ordering} |\n",
-            fmt(Some(aila)),
-            fmt(eff("DMK")),
-            fmt(eff("TBC")),
-            fmt(drs),
+            "| {} | {} | {} | {} | {} | {ordering} |\n",
+            s.scene,
+            eff(0),
+            eff(1),
+            eff(2),
+            eff(3)
         ));
     }
     md.push('\n');
@@ -345,16 +161,16 @@ fn render_fig10(md: &mut String, cells: &[Cell]) {
 /// memory-system profile — L2 hit rate, DRAM-channel utilization
 /// (busy time over chip cycles, both summed across bounces), and
 /// MSHR-exhaustion stalls. Silent when the document has no chip cells.
-fn render_chip_profile(md: &mut String, cells: &[Cell]) {
-    let mut map: BTreeMap<(String, String), (ChipCell, f64)> = BTreeMap::new();
-    for c in cells {
-        let Some(chip) = c.chip.filter(|_| !c.empty) else { continue };
-        let (acc, cycles) = map.entry((c.scene.clone(), c.method.clone())).or_default();
-        acc.l2_hits += chip.l2_hits;
-        acc.l2_misses += chip.l2_misses;
-        acc.mshr_waits += chip.mshr_waits;
-        acc.dram_busy_q += chip.dram_busy_q;
-        *cycles += c.cycles;
+fn render_chip_profile(md: &mut String, cells: &Cells) {
+    // (l2 hits, l2 misses, MSHR waits, DRAM busy, cycles) per (scene, method).
+    let mut map: BTreeMap<(&str, &str), [u64; 5]> = BTreeMap::new();
+    for c in cells.records().filter(|c| !c.empty) {
+        let Some(chip) = &c.chip else { continue };
+        let acc = map.entry((c.scene.name(), &c.method)).or_default();
+        let add = [chip.l2_hits, chip.l2_misses, chip.mshr_waits, chip.dram_busy_q, c.stats.cycles];
+        for (a, x) in acc.iter_mut().zip(add) {
+            *a += x;
+        }
     }
     if map.is_empty() {
         return;
@@ -369,14 +185,13 @@ fn render_chip_profile(md: &mut String, cells: &[Cell]) {
     );
     md.push_str("| scene | method | L2 hit rate | DRAM util | MSHR waits |\n");
     md.push_str("|---|---|---|---|---|\n");
-    for ((scene, method), (chip, cycles)) in &map {
-        let hit_rate = chip.l2_hits / (chip.l2_hits + chip.l2_misses).max(1.0);
-        let util = chip.dram_busy_q / (cycles.max(1.0) * 1024.0);
+    for ((scene, method), [hits, misses, waits, busy_q, cycles]) in &map {
+        let hit_rate = *hits as f64 / (*hits as f64 + *misses as f64).max(1.0);
+        let util = *busy_q as f64 / ((*cycles as f64).max(1.0) * 1024.0);
         md.push_str(&format!(
-            "| {scene} | {method} | {:.1}% | {:.1}% | {} |\n",
+            "| {scene} | {method} | {:.1}% | {:.1}% | {waits} |\n",
             hit_rate * 100.0,
             util * 100.0,
-            chip.mshr_waits
         ));
     }
     md.push('\n');
@@ -385,77 +200,140 @@ fn render_chip_profile(md: &mut String, cells: &[Cell]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drs_telemetry::check::parse;
+    use drs_harness::{
+        figures, run_jobs, CellResult, ChipConfig, ChipSummary, EntryCounters, JobSet, Method,
+        ResultsFile, RunOptions, Scale, SimJob,
+    };
+    use drs_scene::SceneKind;
+    use drs_sim::{ActiveHistogram, SimStats};
 
-    /// A miniature results document with two scenes' fig11 grids plus a
-    /// fig2 pair, hand-built through the same JSON shape the emitter uses.
-    fn sample_doc() -> Value {
-        let mut cells = String::new();
-        let mut push = |scene: &str,
-                        method: &str,
-                        bounce: u64,
-                        figures: &str,
-                        cycles: u64,
-                        rays: u64,
-                        active: u64,
-                        total: u64| {
-            if !cells.is_empty() {
-                cells.push(',');
-            }
-            cells.push_str(&format!(
-                r#"{{"scene":"{scene}","method":"{method}","bounce":{bounce},
-                   "figures":[{figures}],"empty":false,"mrays_per_sec":1.0,
-                   "stats":{{"cycles":{cycles},"rays_completed":{rays},
-                     "issued":{{"active_sum":{active},"total":{total}}},
-                     "issued_si":{{"active_sum":0,"total":0}}}}}}"#
-            ));
+    const SCALE: Scale = Scale { rays: 64, tris_scale: 0.005, warps_scale: 0.1 };
+
+    fn stats(cycles: u64, active_sum: u64, total: u64) -> SimStats {
+        let issued = ActiveHistogram { buckets: [0, 0, 0, total], total, active_sum };
+        SimStats { cycles, rays_completed: 100, issued, ..SimStats::default() }
+    }
+
+    /// The document `experiments` writes for `jobs`, each cell carrying
+    /// `cell(job)`'s stats and chip summary.
+    fn document(
+        mode: &str,
+        jobs: &[SimJob],
+        cell: impl Fn(&SimJob) -> (SimStats, Option<ChipSummary>),
+    ) -> String {
+        let cells = jobs
+            .iter()
+            .map(|&job| {
+                let (stats, chip) = cell(&job);
+                let cell = CellResult {
+                    job,
+                    empty: false,
+                    completed: true,
+                    stats,
+                    telemetry: None,
+                    sm_telemetry: Vec::new(),
+                    chip_telemetry: None,
+                    failure: None,
+                    chip,
+                    attempts: 1,
+                    wall_ms: 1.0,
+                };
+                (vec![mode.to_string()], cell)
+            })
+            .collect();
+        let file = ResultsFile {
+            mode: mode.into(),
+            workers: 1,
+            cache: EntryCounters::default(),
+            store: EntryCounters::default(),
+            wall_ms: 1.0,
+            resumed: 0,
+            checkpoint_writes: 0,
+            cells,
         };
-        // conference: DRS 2.0x over Aila (paper 1.84 → pass).
-        push("conference room", "Aila", 1, r#""fig11","fig10""#, 1000, 100, 320, 20);
-        push("conference room", "DRS(M=1,B=6)", 1, r#""fig11","fig10""#, 500, 100, 600, 20);
-        // fairy forest: DRS 1.0x (paper 1.92 → deviation).
-        push("fairy forest", "Aila", 1, r#""fig11""#, 1000, 100, 320, 20);
-        push("fairy forest", "DRS(M=1,B=6)", 1, r#""fig11""#, 1000, 100, 320, 20);
-        // fig2: efficiency falls from B1 to B2.
-        push("conference room", "Aila", 1, r#""fig2""#, 10, 5, 300, 10);
-        push("conference room", "Aila", 2, r#""fig2""#, 10, 5, 100, 10);
-        parse(&format!(r#"{{"mode":"all","cells":[{cells}]}}"#)).unwrap()
+        file.to_json()
+    }
+
+    /// The fig11 grid: DRS runs twice as fast as Aila on the conference
+    /// room (paper 1.84 → pass) and as fast on the fairy forest (paper
+    /// 1.92 → deviation); Aila's conference efficiency falls from B1 to
+    /// the later bounces.
+    fn sample_jobs() -> Vec<SimJob> {
+        figures::fig11(&SCALE).jobs
+    }
+
+    fn sample_cell(job: &SimJob) -> (SimStats, Option<ChipSummary>) {
+        let drs = job.method == Method::drs_default();
+        let cycles = if drs && job.workload.scene != SceneKind::FairyForest { 500 } else { 1000 };
+        let active = match (job.workload.scene, job.method, job.bounce) {
+            (SceneKind::Conference, Method::Aila, 1) => 300,
+            (_, Method::Aila, _) => 100,
+            _ => 200,
+        };
+        (stats(cycles, active, 10), None)
+    }
+
+    fn sample_md() -> String {
+        render_json(&document("all", &sample_jobs(), sample_cell)).unwrap()
     }
 
     #[test]
     fn report_marks_pass_and_deviation() {
-        let md = render(&sample_doc()).unwrap();
-        assert!(md.contains("| conference room | -- | -- | 2.00x | 1.84x | pass (+9%) |"), "{md}");
-        assert!(md.contains("| fairy forest | -- | -- | 1.00x | 1.92x | **deviation** (-48%) |"));
-        assert!(md.contains("**average**"));
+        let md = sample_md();
+        assert!(
+            md.contains("| conference room | 1.00x | 1.00x | 2.00x | 1.84x | pass (+9%) |"),
+            "{md}"
+        );
+        assert!(
+            md.contains("| fairy forest | 1.00x | 1.00x | 1.00x | 1.92x | **deviation** (-48%) |")
+        );
+        // (2 + 1 + 2 + 2) / 4 = 1.75 against 1.79.
+        assert!(md.contains("| **average** |  |  | **1.75x** | **1.79x** | pass (-2%) |"), "{md}");
+        assert!(
+            md.contains("| conference room | 39.1% | 62.5% | 62.5% | 62.5% | pass (DRS > Aila) |")
+        );
     }
 
     #[test]
     fn report_covers_fig2_trend() {
-        let md = render(&sample_doc()).unwrap();
+        let md = sample_md();
         assert!(md.contains("| B1 | 93.8% |"), "{md}");
-        assert!(md.contains("| B2 | 31.2% |"));
-        assert!(md.contains("93.8% → 31.2% (pass)"));
+        assert!(md.contains("| B8 | 31.2% |"));
+        assert!(md.contains("Measured B1→B8: 93.8% → 31.2% (pass)"));
+    }
+
+    #[test]
+    fn verdict_band_edges() {
+        let v = |ratio: f64| verdict(VsPaper { measured: 1.84 * ratio, paper: 1.84 });
+        assert!(v(1.0).starts_with("pass"));
+        assert!(v(1.24).starts_with("pass"));
+        assert!(v(0.76).starts_with("pass"));
+        assert!(v(1.30).starts_with("**deviation**"));
+        assert!(v(0.70).starts_with("**deviation**"));
+    }
+
+    /// The fig2 grid on a `sms`-SM chip; every cell has the same chip
+    /// counters.
+    fn chip_doc(sms: usize) -> String {
+        let jobs = figures::fig2(&SCALE).with_chip(ChipConfig::gtx780(sms)).jobs;
+        document("fig2", &jobs, |_| {
+            let chip = ChipSummary {
+                sms,
+                l2_hits: 300,
+                l2_misses: 100,
+                mshr_waits: 7,
+                dram_busy_q: 5120,
+                ..ChipSummary::default()
+            };
+            (stats(10, 300, 10), Some(chip))
+        })
     }
 
     #[test]
     fn report_annotates_chip_vs_scaled_runs() {
-        let scaled = render(&sample_doc()).unwrap();
+        let scaled = sample_md();
         assert!(scaled.contains("extrapolate one simulated SMX"), "{scaled}");
-
-        // The same document with one chip cell flips the annotation.
-        let doc = parse(
-            r#"{"mode":"fig2","cells":[{"scene":"conference room","method":"Aila",
-               "bounce":1,"figures":["fig2"],"empty":false,
-               "chip_config":{"sms":15,"l2_banks":16},
-               "chip":{"sms":15,"l2_hits":300,"l2_misses":100,"l2_evictions":2,
-                 "mshr_waits":7,"dram_busy_q":5120},
-               "stats":{"cycles":10,"rays_completed":5,
-                 "issued":{"active_sum":300,"total":10},
-                 "issued_si":{"active_sum":0,"total":0}}}]}"#,
-        )
-        .unwrap();
-        let chip = render(&doc).unwrap();
+        let chip = render_json(&chip_doc(15)).unwrap();
         assert!(chip.contains("chip-accurate figures"), "{chip}");
         assert!(chip.contains("15 SMs sharing one L2/MSHR/DRAM"), "{chip}");
         assert!(!chip.contains("extrapolate one simulated SMX"));
@@ -464,46 +342,57 @@ mod tests {
     #[test]
     fn chip_cells_get_a_memory_system_footnote() {
         // No chip cells → no footnote section at all.
-        let scaled = render(&sample_doc()).unwrap();
+        let scaled = sample_md();
         assert!(!scaled.contains("Shared memory system"), "{scaled}");
-
-        let doc = parse(
-            r#"{"mode":"fig2","cells":[{"scene":"conference room","method":"Aila",
-               "bounce":1,"figures":["fig2"],"empty":false,
-               "chip_config":{"sms":2,"l2_banks":16},
-               "chip":{"sms":2,"l2_hits":300,"l2_misses":100,"l2_evictions":2,
-                 "mshr_waits":7,"dram_busy_q":5120},
-               "stats":{"cycles":10,"rays_completed":5,
-                 "issued":{"active_sum":300,"total":10},
-                 "issued_si":{"active_sum":0,"total":0}}}]}"#,
-        )
-        .unwrap();
-        let md = render(&doc).unwrap();
+        let md = render_json(&chip_doc(2)).unwrap();
         assert!(md.contains("## Shared memory system (chip-accurate cells)"), "{md}");
-        // 300/(300+100) = 75% hit rate; 5120/(10·1024) = 50% utilization.
-        assert!(md.contains("| conference room | Aila | 75.0% | 50.0% | 7 |"), "{md}");
+        // 300/(300+100) = 75% hit rate; 5120/(10·1024) = 50% utilization;
+        // 7 waits in each of the 8 bounces.
+        assert!(md.contains("| conference room | Aila | 75.0% | 50.0% | 56 |"), "{md}");
     }
 
     #[test]
     fn report_survives_partial_documents() {
-        let doc = parse(r#"{"mode":"table1","cells":[]}"#).unwrap();
-        let md = render(&doc).unwrap();
+        let md = render_json(&document("table1", &[], sample_cell)).unwrap();
         assert!(md.contains("no fig11 cells"));
         assert!(md.contains("no fig2 cells"));
         assert!(md.contains("no fig10 cells"));
+        // A figure renders only with its whole grid: one missing cell
+        // drops Fig. 10 and Fig. 11 but not Fig. 2, whose cells remain.
+        let mut jobs = sample_jobs();
+        jobs.pop();
+        let md = render_json(&document("fig11", &jobs, sample_cell)).unwrap();
+        assert!(md.contains("no fig11 cells") && md.contains("no fig10 cells"), "{md}");
+        assert!(md.contains("| B1 | 93.8% |"), "{md}");
     }
 
     #[test]
     fn report_rejects_foreign_documents() {
-        let doc = parse(r#"{"traceEvents":[]}"#).unwrap();
-        assert!(render(&doc).unwrap_err().contains("no 'cells'"));
+        assert!(render_json(r#"{"traceEvents":[]}"#).unwrap_err().contains("no 'cells'"));
+        assert!(render_json("not json").unwrap_err().contains("not valid JSON"));
+        let partial = document("fig2", &figures::fig2(&SCALE).jobs, sample_cell)
+            .replace("\"rdctrl_stalls\":0,", "");
+        assert!(render_json(&partial).unwrap_err().contains("cell 0 is malformed"));
+    }
+
+    /// Render `set`'s run from memory and from its results JSON.
+    fn both_renderings(set: &JobSet) -> (String, String) {
+        let report = run_jobs(&set.jobs, &RunOptions::parallel(2));
+        assert!(report.all_clean());
+        let n = report.cells.len();
+        let file = ResultsFile::from_report(&set.name, 2, report, vec![vec![set.name.clone()]; n]);
+        (render(&Cells::new(file.doc())), render_json(&file.to_json()).unwrap())
     }
 
     #[test]
-    fn verdict_band_edges() {
-        assert!(verdict(1.84, 1.84).starts_with("pass"));
-        assert!(verdict(1.84 * 1.24, 1.84).starts_with("pass"));
-        assert!(verdict(1.84 * 1.30, 1.84).starts_with("**deviation**"));
-        assert!(verdict(1.84 * 0.70, 1.84).starts_with("**deviation**"));
+    fn memory_and_json_render_identically() {
+        let (memory, json) = both_renderings(&figures::fig11(&SCALE));
+        assert!(memory.contains("| **average** |"), "{memory}");
+        assert!(memory.contains("| B1 |"), "{memory}");
+        assert_eq!(memory, json);
+        let chip = figures::fig2(&SCALE).with_chip(ChipConfig::gtx780(2));
+        let (memory, json) = both_renderings(&chip);
+        assert!(memory.contains("## Shared memory system"), "{memory}");
+        assert_eq!(memory, json);
     }
 }

@@ -9,7 +9,7 @@
 //! <dir>/<key>.<ext>                    the entry
 //! <dir>/<key>.lock                     writer lock (create_new + pid), stale after 10 s
 //! <dir>/<key>.tmp.<pid>.<seq>          a writer's temp file, renamed over the entry
-//! <dir>/quarantine/<key>.<pid>.<ext>   entries a codec rejected, kept for postmortem
+//! <dir>/quarantine/<key>.<ext>         the last entry a codec rejected, kept for postmortem
 //! ```
 //!
 //! Writes create the directory, take the per-entry lock (reclaiming one
@@ -20,9 +20,9 @@
 //! the file into `quarantine/`, counts it and is a miss too — a bad entry
 //! is never served and never fails a run. An optional byte budget turns
 //! the directory into an LRU: hits refresh an entry's mtime, and a write
-//! that pushes the directory over the budget deletes the least recently
-//! used entries (never the one just written). Quarantined files are not
-//! counted against the budget.
+//! that pushes the directory over the budget deletes quarantined files
+//! first, then the least recently used entries (never the one just
+//! written). Quarantine keeps one file per key, the latest rejected.
 
 use drs_sim::JsonBuf;
 use std::ffi::OsString;
@@ -198,11 +198,12 @@ impl Entries {
         }
     }
 
-    /// Move a rejected entry into `quarantine/` (falling back to deletion,
-    /// so a bad entry can never be served twice) and count it.
+    /// Move a rejected entry into `quarantine/`, replacing an earlier
+    /// rejected entry of the same key (falling back to deletion, so a bad
+    /// entry can never be served twice) and count it.
     fn quarantine(&self, key: &str, path: &Path, why: &dyn fmt::Display) {
         let qdir = self.dir.join("quarantine");
-        let to = qdir.join(format!("{key}.{}.{}", std::process::id(), self.ext));
+        let to = qdir.join(format!("{key}.{}", self.ext));
         let moved = fs::create_dir_all(&qdir).is_ok() && fs::rename(path, &to).is_ok();
         if !moved {
             let _ = fs::remove_file(path);
@@ -289,34 +290,44 @@ impl Entries {
         }
     }
 
-    /// Delete least-recently-used entries until the directory fits the
-    /// byte budget again. `keep` (the entry just written) is never
+    /// Delete files until the directory, `quarantine/` included, fits
+    /// the byte budget again: quarantined files first, then the least
+    /// recently used entries. `keep` (the entry just written) is never
     /// evicted, even if it alone exceeds the budget — evicting it would
     /// turn every oversized value into a recompute per use.
     fn enforce_limit(&self, keep: &Path) {
         let Some(limit) = self.limit_bytes else { return };
-        let Ok(dir) = fs::read_dir(&self.dir) else { return };
-        let mut entries: Vec<(PathBuf, u64, SystemTime)> = dir
-            .filter_map(Result::ok)
-            .filter(|e| e.path().extension().is_some_and(|x| x == self.ext))
-            .filter_map(|e| {
-                let meta = e.metadata().ok()?;
-                Some((e.path(), meta.len(), meta.modified().ok()?))
-            })
-            .collect();
-        let mut total: u64 = entries.iter().map(|(_, len, _)| len).sum();
-        // Oldest first; path as tie-break so same-mtime entries evict in
-        // a deterministic order.
-        entries.sort_by(|a, b| (a.2, &a.0).cmp(&(b.2, &b.0)));
-        for (path, len, _) in entries {
+        // Quarantined files first, then live entries oldest first; path
+        // as tie-break so same-mtime entries evict in a deterministic
+        // order.
+        let mut files: Vec<(bool, SystemTime, PathBuf, u64)> =
+            [(false, self.dir.join("quarantine")), (true, self.dir.clone())]
+                .into_iter()
+                .flat_map(|(live, dir)| {
+                    fs::read_dir(dir).into_iter().flatten().flatten().map(move |e| (live, e))
+                })
+                .filter(|(_, e)| e.path().extension().is_some_and(|x| x == self.ext))
+                .filter_map(|(live, e)| {
+                    let meta = e.metadata().ok()?;
+                    Some((live, meta.modified().ok()?, e.path(), meta.len()))
+                })
+                .collect();
+        files.sort();
+        let mut total: u64 = files.iter().map(|f| f.3).sum();
+        for (live, _, path, len) in files {
             if total <= limit {
                 break;
             }
             if path == keep {
                 continue;
             }
-            self.count(|c| &mut c.size_evictions);
-            eprintln!("drs-harness: evicting {} (LRU: over {limit}-byte limit)", path.display());
+            if live {
+                self.count(|c| &mut c.size_evictions);
+                eprintln!(
+                    "drs-harness: evicting {} (LRU: over {limit}-byte limit)",
+                    path.display()
+                );
+            }
             let _ = fs::remove_file(&path);
             total -= len;
         }
@@ -422,6 +433,39 @@ mod tests {
         put(&entries, "k", "ok again");
         assert_eq!(get(&entries, "k").as_deref(), Some("ok again"));
         let _ = fs::remove_dir_all(entries.dir());
+    }
+
+    #[test]
+    fn quarantine_keeps_the_latest_rejected_entry_per_key() {
+        let entries = Entries::new(temp_dir(), "txt", None);
+        for text in ["bad first", "bad second"] {
+            put(&entries, "k", text);
+            assert_eq!(get(&entries, "k"), None);
+        }
+        assert_eq!(entries.counters().quarantined, 2);
+        let qdir = entries.dir().join("quarantine");
+        let names: Vec<_> = fs::read_dir(&qdir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, ["k.txt"], "one file per key");
+        assert_eq!(fs::read_to_string(qdir.join("k.txt")).unwrap(), "bad second", "latest wins");
+        let _ = fs::remove_dir_all(entries.dir());
+    }
+
+    #[test]
+    fn quarantine_counts_against_the_budget_and_goes_first() {
+        let dir = temp_dir();
+        let unbounded = Entries::new(dir.clone(), "txt", None);
+        put(&unbounded, "a", "ok aaaa");
+        put(&unbounded, "q", "bad qqq");
+        assert_eq!(get(&unbounded, "q"), None, "quarantined");
+        // The quarantined file is the newest, yet it goes before the older
+        // live entry; and it counts, so `a` + `b` + it exceed the budget.
+        let entries = Entries::new(dir.clone(), "txt", Some(2 * 7 + 3));
+        set_mtime(&entries.path("a"), Duration::from_mins(5));
+        put(&entries, "b", "ok bbbb");
+        assert!(!dir.join("quarantine/q.txt").exists(), "quarantined file deleted first");
+        assert!(entries.path("a").exists() && entries.path("b").exists(), "both fit after it");
+        assert_eq!(entries.counters().size_evictions, 0, "no readable entry was evicted");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -63,6 +63,11 @@ impl FaultKind {
         }
     }
 
+    /// The kinds that act on an attempt; cache and store faults act
+    /// before any attempt runs.
+    pub const ATTEMPT: [FaultKind; 4] =
+        [Self::WorkerPanic, Self::WatchdogTrip, Self::BudgetExhaust, Self::ChipConfigCorrupt];
+
     fn from_keyword(word: &str) -> Option<FaultKind> {
         match word {
             "panic" => Some(FaultKind::WorkerPanic),
@@ -170,11 +175,19 @@ impl FaultPlan {
         self.rules.is_empty()
     }
 
-    /// The fault (if any) to inject for attempt `attempt` (1-based) of the
-    /// job at `index` with content id `id`. Pure: depends only on the
-    /// arguments and the plan, never on timing or scheduling. The first
-    /// matching rule wins.
-    pub fn fault_for(&self, index: usize, id: JobId, attempt: u32) -> Option<FaultKind> {
+    /// The fault of one of `kinds` (if any) to inject for attempt
+    /// `attempt` (1-based) of the job at `index` with content id `id`.
+    /// Pure: depends only on the arguments and the plan, never on timing
+    /// or scheduling. Each phase of the pool asks only for the kinds it
+    /// acts on, so a cache rule never hides a panic rule on the same job;
+    /// among the asked-for kinds, the first matching rule wins.
+    pub fn fault_for(
+        &self,
+        index: usize,
+        id: JobId,
+        attempt: u32,
+        kinds: &[FaultKind],
+    ) -> Option<FaultKind> {
         self.rules
             .iter()
             .find(|r| {
@@ -185,7 +198,7 @@ impl FaultPlan {
                         fnv1a64(key.as_bytes()).is_multiple_of(n)
                     }
                 };
-                hits_job && r.times.is_none_or(|t| attempt <= t)
+                kinds.contains(&r.kind) && hits_job && r.times.is_none_or(|t| attempt <= t)
             })
             .map(|r| r.kind)
     }
@@ -254,11 +267,15 @@ mod tests {
     fn index_rules_fire_on_the_right_job_and_attempts() {
         let plan = FaultPlan::parse("panic@2x1,watchdog@3").unwrap();
         let id = JobId(0xabcd);
-        assert_eq!(plan.fault_for(2, id, 1), Some(FaultKind::WorkerPanic));
-        assert_eq!(plan.fault_for(2, id, 2), None, "x1 rules stop after the first attempt");
-        assert_eq!(plan.fault_for(3, id, 1), Some(FaultKind::WatchdogTrip));
-        assert_eq!(plan.fault_for(3, id, 99), Some(FaultKind::WatchdogTrip));
-        assert_eq!(plan.fault_for(0, id, 1), None);
+        assert_eq!(plan.fault_for(2, id, 1, &FaultKind::ATTEMPT), Some(FaultKind::WorkerPanic));
+        assert_eq!(
+            plan.fault_for(2, id, 2, &FaultKind::ATTEMPT),
+            None,
+            "x1 rules stop after the first attempt"
+        );
+        assert_eq!(plan.fault_for(3, id, 1, &FaultKind::ATTEMPT), Some(FaultKind::WatchdogTrip));
+        assert_eq!(plan.fault_for(3, id, 99, &FaultKind::ATTEMPT), Some(FaultKind::WatchdogTrip));
+        assert_eq!(plan.fault_for(0, id, 1, &FaultKind::ATTEMPT), None);
     }
 
     #[test]
@@ -267,7 +284,9 @@ mod tests {
         let b = FaultPlan::parse("seed=2,cache~2").unwrap();
         let ids: Vec<JobId> = (0..64).map(|i| JobId(0x1000 + i * 7919)).collect();
         let hit = |plan: &FaultPlan| -> Vec<bool> {
-            ids.iter().map(|&id| plan.fault_for(0, id, 1).is_some()).collect()
+            ids.iter()
+                .map(|&id| plan.fault_for(0, id, 1, &[FaultKind::CacheCorrupt]).is_some())
+                .collect()
         };
         assert_eq!(hit(&a), hit(&a), "same plan, same faults");
         assert_ne!(hit(&a), hit(&b), "different seeds address different jobs");
@@ -276,8 +295,17 @@ mod tests {
     }
 
     #[test]
-    fn first_matching_rule_wins() {
+    fn first_matching_rule_of_the_asked_kinds_wins() {
         let plan = FaultPlan::parse("budget@1,panic@1").unwrap();
-        assert_eq!(plan.fault_for(1, JobId(1), 1), Some(FaultKind::BudgetExhaust));
+        assert_eq!(
+            plan.fault_for(1, JobId(1), 1, &FaultKind::ATTEMPT),
+            Some(FaultKind::BudgetExhaust)
+        );
+        for spec in ["cache@1,panic@1", "panic@1,cache@1"] {
+            let plan = FaultPlan::parse(spec).unwrap();
+            let fault = |kinds: &[FaultKind]| plan.fault_for(1, JobId(1), 1, kinds);
+            assert_eq!(fault(&[FaultKind::CacheCorrupt]), Some(FaultKind::CacheCorrupt), "{spec}");
+            assert_eq!(fault(&FaultKind::ATTEMPT), Some(FaultKind::WorkerPanic), "{spec}");
+        }
     }
 }

@@ -35,18 +35,12 @@ pub fn fig2(scale: &Scale) -> JobSet {
 
 /// The method column of Figure 8: Aila, DRS backup-row sweep, ideal DRS.
 pub fn fig8_methods() -> Vec<(String, Method)> {
-    vec![
-        ("Aila".into(), Method::Aila),
-        (
-            "DRS M=1 (no xbank, 58w)".into(),
-            Method::Drs { backup_rows: 1, swap_buffers: 9, extra_bank: false },
-        ),
-        ("DRS M=1".into(), Method::Drs { backup_rows: 1, swap_buffers: 9, extra_bank: true }),
-        ("DRS M=2".into(), Method::Drs { backup_rows: 2, swap_buffers: 9, extra_bank: true }),
-        ("DRS M=4".into(), Method::Drs { backup_rows: 4, swap_buffers: 9, extra_bank: true }),
-        ("DRS M=8".into(), Method::Drs { backup_rows: 8, swap_buffers: 9, extra_bank: true }),
-        ("DRS ideal".into(), Method::IdealDrs),
-    ]
+    let drs = |m, extra_bank| Method::Drs { backup_rows: m, swap_buffers: 9, extra_bank };
+    let mut methods =
+        vec![("Aila".into(), Method::Aila), ("DRS M=1 (no xbank, 58w)".into(), drs(1, false))];
+    methods.extend([1, 2, 4, 8].map(|m| (format!("DRS M={m}"), drs(m, true))));
+    methods.push(("DRS ideal".into(), Method::IdealDrs));
+    methods
 }
 
 /// Figure 8: Mrays/s for bounces 1–4 under different backup-row configs.
@@ -123,23 +117,15 @@ fn comparison_grid(name: &str, scale: &Scale) -> JobSet {
 
 /// The Aila software-optimization ablation grid (conference, bounce 2).
 pub fn ablation_variants() -> [(&'static str, Method); 4] {
+    let aila = |speculative_traversal, replace_terminated| Method::AilaVariant {
+        speculative_traversal,
+        replace_terminated,
+    };
     [
-        (
-            "while-while (plain)        ",
-            Method::AilaVariant { speculative_traversal: false, replace_terminated: false },
-        ),
-        (
-            "+ terminated-ray replace   ",
-            Method::AilaVariant { speculative_traversal: false, replace_terminated: true },
-        ),
-        (
-            "+ speculative traversal    ",
-            Method::AilaVariant { speculative_traversal: true, replace_terminated: false },
-        ),
-        (
-            "+ both (paper baseline)    ",
-            Method::AilaVariant { speculative_traversal: true, replace_terminated: true },
-        ),
+        ("while-while (plain)        ", aila(false, false)),
+        ("+ terminated-ray replace   ", aila(false, true)),
+        ("+ speculative traversal    ", aila(true, false)),
+        ("+ both (paper baseline)    ", aila(true, true)),
     ]
 }
 

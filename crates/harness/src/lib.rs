@@ -7,45 +7,29 @@
 //! - **Job model** ([`job`]): each cell is a [`SimJob`] with a stable
 //!   content-derived [`JobId`]; figures are declarative [`JobSet`]s
 //!   ([`figures`]).
-//! - **Worker pool** ([`pool`]): a std-only (`std::thread` + atomics)
-//!   executor. Results are slotted by job index, so serial and parallel
-//!   runs produce bit-identical [`SimStats`](drs_sim::SimStats) — proven
-//!   by the test suite, not just promised.
-//! - **Capture cache** ([`cache`]): captured ray streams are persisted
-//!   via the `drs-trace` binary codec to `target/drs-cache/<hash>.bin`,
-//!   keyed by (scene, triangle budget, ray budget, depth, seed, trace
-//!   format version). The expensive render+trace phase runs once per
-//!   workload ever, instead of once per figure per run; corrupt entries
-//!   are quarantined and recaptured via the typed
-//!   [`TraceIoError`](drs_trace::TraceIoError).
-//! - **Results** ([`results`]): every cell is emitted as JSON
-//!   (`BENCH_experiments.json`) — Mrays/s, SIMD efficiency, the complete
-//!   simulator counter set, wall-clock — giving the repo a machine-
-//!   readable perf trajectory across PRs.
-//! - **Fault tolerance** ([`fault`]): worker panics and typed simulator
-//!   failures are isolated per cell (`catch_unwind`), retried with
-//!   backoff when transient, and recorded as structured [`CellFailure`]
-//!   data in the results JSON. A deterministic [`FaultPlan`] makes every
-//!   defended failure mode reproducible on demand.
-//! - **Durable results** ([`store`]): finished clean cells are memoized
-//!   on disk keyed by [`JobId`] + [`SCHEMA_VERSION`], checksummed and
-//!   written atomically; a warm rerun of a completed grid does zero
-//!   simulation work and emits byte-identical results JSON. Corrupt or
-//!   stale entries are quarantined and recomputed, never served. The
-//!   same store, scoped to one run ([`CheckpointSpec`]), lets an
-//!   interrupted grid resume with bit-identical merged results. The
-//!   cache and the store are two codecs over one private entry store
-//!   (atomic writes under a per-entry lock, quarantine, optional LRU
-//!   budget, one [`EntryCounters`] set); both live under one root,
-//!   `$DRS_DATA_DIR` (default `target`).
+//! - **Worker pool** ([`pool`]): a std-only executor that slots results
+//!   by job index, so serial and parallel runs produce bit-identical
+//!   [`SimStats`](drs_sim::SimStats) (asserted by the test suite).
+//! - **Capture cache** ([`cache`]) and **result store** ([`store`]): two
+//!   codecs over one private entry store (atomic writes under a
+//!   per-entry lock, quarantine, optional LRU budget, one
+//!   [`EntryCounters`] set) under `$DRS_DATA_DIR` (default `target`).
+//!   Each workload is captured once ever; a warm rerun of a finished grid
+//!   simulates nothing, and a run-scoped store ([`CheckpointSpec`]) lets
+//!   an interrupted grid resume bit-identically. Bad entries are
+//!   quarantined and recomputed, never served.
+//! - **Results** ([`results`]): every cell as JSON
+//!   (`BENCH_experiments.json`) with the complete counter set, and
+//!   [`ResultsDoc::parse`] to read a document back into the records the
+//!   figures need.
+//! - **Fault tolerance** ([`fault`]): panics and typed simulator
+//!   failures are isolated per cell, retried when transient and recorded
+//!   as [`CellFailure`] data; a deterministic [`FaultPlan`] reproduces
+//!   every defended failure mode on demand.
 //! - **Full-chip mode** ([`runner::run_chip_cell`], `drs-chip`): a job
 //!   with [`SimJob::chip`] set runs N per-SM engines against one shared
-//!   L2/MSHR/DRAM memory system instead of a single scaled SMX; the cell
-//!   carries a [`ChipSummary`] with the cross-SM contention counters.
-//!   With telemetry enabled the cell additionally carries one
-//!   stall-attribution report per SM and a chip memory-system report
-//!   (per-bank L2 / MSHR / DRAM / NoC interval series plus the cross-SM
-//!   interference matrix) — all purely observational.
+//!   L2/MSHR/DRAM system; the cell carries a [`ChipSummary`], and with
+//!   telemetry per-SM stall reports and a chip memory-system report.
 //!
 //! # Example
 //!
@@ -92,6 +76,8 @@ pub use entry::{EntryCounters, EntryError};
 pub use fault::{FaultKind, FaultPlan, FaultSpecError};
 pub use job::{fnv1a64, JobId, JobSet, Method, Scale, SimJob, WorkloadSpec};
 pub use pool::{parallel_map, run_jobs, CaptureMode, CheckpointSpec, RunOptions, RunReport};
-pub use results::{write_text, CellFailure, CellResult, ChipSummary, ResultsFile};
+pub use results::{
+    write_text, CellFailure, CellRecord, CellResult, ChipSummary, ResultsDoc, ResultsFile,
+};
 pub use runner::{run_cell, run_chip_cell, CellConfig};
 pub use store::{ResultStore, StoredCell};

@@ -122,13 +122,10 @@ pub struct RunOptions {
     /// it. Ignored (with a warning) when telemetry is enabled, like
     /// [`RunOptions::store`].
     pub checkpoint: Option<CheckpointSpec>,
-    /// Durable result store: clean cells are served from disk before any
-    /// capture or simulation happens and persisted after they finish.
-    /// Shared (`Arc`) so callers can share one store's counters across
-    /// runs.
-    /// Ignored (with a warning) when telemetry is enabled — stored cells
-    /// carry counters, not telemetry reports, and must never silently
-    /// satisfy an instrumented run.
+    /// Durable result store (`Arc`, so runs can share its counters):
+    /// clean cells are served from disk before any capture and persisted
+    /// after they finish. Ignored (with a warning) with telemetry on:
+    /// stored cells carry no telemetry reports.
     pub store: Option<Arc<ResultStore>>,
 }
 
@@ -315,7 +312,7 @@ pub fn run_jobs(jobs: &[SimJob], opts: &RunOptions) -> RunReport {
                 return Some((cell.to_cell(*job), "checkpoint"));
             }
             let store = store?;
-            if opts.faults.fault_for(i, id, 1) == Some(FaultKind::StoreCorrupt)
+            if opts.faults.fault_for(i, id, 1, &[FaultKind::StoreCorrupt]).is_some()
                 && store.scramble(id)
             {
                 eprintln!("drs-harness: injected store corruption for job {id}");
@@ -341,7 +338,7 @@ pub fn run_jobs(jobs: &[SimJob], opts: &RunOptions) -> RunReport {
         .enumerate()
         .filter(|&(i, j)| {
             prior[i].is_none()
-                && opts.faults.fault_for(i, j.id(), 1) == Some(FaultKind::CacheCorrupt)
+                && opts.faults.fault_for(i, j.id(), 1, &[FaultKind::CacheCorrupt]).is_some()
         })
         .map(|(_, j)| j.workload.content_key())
         .collect();
@@ -451,12 +448,7 @@ fn run_one_job(
     let mut attempt = 0u32;
     loop {
         attempt += 1;
-        // Cache and store faults act before any attempt, so an attempt
-        // under one is not an injected failure.
-        let fault = opts
-            .faults
-            .fault_for(index, job.id(), attempt)
-            .filter(|f| !matches!(f, FaultKind::CacheCorrupt | FaultKind::StoreCorrupt));
+        let fault = opts.faults.fault_for(index, job.id(), attempt, &FaultKind::ATTEMPT);
         match run_attempt(job, scripts, fault, opts) {
             Ok(cell) => {
                 let wall_ms = job_start.elapsed().as_secs_f64() * 1e3;

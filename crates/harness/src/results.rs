@@ -19,8 +19,11 @@
 use crate::entry::EntryCounters;
 use crate::job::SimJob;
 use crate::pool::RunReport;
+use crate::store::{get_bool, get_opt, get_u64, parse_chip, parse_stats};
 use crate::SCHEMA_VERSION;
+use drs_scene::SceneKind;
 use drs_sim::{GpuConfig, JsonBuf, SimStats};
+use drs_telemetry::check::{self, Value};
 use drs_telemetry::{ChipTelemetryReport, TelemetryReport};
 use std::io::Write;
 use std::path::Path;
@@ -121,18 +124,16 @@ impl ChipSummary {
         j.kv_u64("bank_conflict_cycles", self.bank_conflict_cycles);
         j.kv_u64("mshr_merges", self.mshr_merges);
         j.kv_u64("mshr_waits", self.mshr_waits);
-        j.key("per_sm_cycles");
-        j.begin_arr();
-        for &c in &self.per_sm_cycles {
-            j.u64(c);
+        for (key, values) in
+            [("per_sm_cycles", &self.per_sm_cycles), ("per_sm_rays", &self.per_sm_rays)]
+        {
+            j.key(key);
+            j.begin_arr();
+            for &v in values {
+                j.u64(v);
+            }
+            j.end_arr();
         }
-        j.end_arr();
-        j.key("per_sm_rays");
-        j.begin_arr();
-        for &r in &self.per_sm_rays {
-            j.u64(r);
-        }
-        j.end_arr();
         j.end_obj();
     }
 }
@@ -216,6 +217,27 @@ impl CellResult {
         )
     }
 
+    /// Append the cell's telemetry reports (single-SMX, per-SM and chip
+    /// memory-system), each under its own key when present.
+    fn write_telemetry_json(&self, j: &mut JsonBuf) {
+        if let Some(report) = &self.telemetry {
+            j.key("telemetry");
+            report.write_json(j);
+        }
+        if !self.sm_telemetry.is_empty() {
+            j.key("sm_telemetry");
+            j.begin_arr();
+            for report in &self.sm_telemetry {
+                report.write_json(j);
+            }
+            j.end_arr();
+        }
+        if let Some(report) = &self.chip_telemetry {
+            j.key("chip_telemetry");
+            report.write_json(j);
+        }
+    }
+
     /// Append this cell as a JSON object. `figures` names the figures /
     /// tables that reference the cell (one cell can serve several).
     pub fn write_json(&self, j: &mut JsonBuf, figures: &[String], gpu: &GpuConfig) {
@@ -266,6 +288,92 @@ impl CellResult {
         j.key("stats");
         self.stats.write_json(j);
         j.end_obj();
+    }
+}
+
+/// The part of one cell the figures read: what [`ResultsFile::to_json`]
+/// writes for it and [`ResultsDoc::parse`] reads back, equal either way.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellRecord {
+    /// Scene of the cell's workload.
+    pub scene: SceneKind,
+    /// Bounce the cell simulated.
+    pub bounce: usize,
+    /// [`Method::label`](crate::Method::label) of the cell's method.
+    pub method: String,
+    /// SM count of the full-chip config the cell ran with, if any.
+    pub chip_sms: Option<usize>,
+    /// No surviving rays at this bounce.
+    pub empty: bool,
+    /// The simulation ran to completion.
+    pub completed: bool,
+    /// Full counter set.
+    pub stats: SimStats,
+    /// Shared-memory-system summary, for full-chip cells.
+    pub chip: Option<ChipSummary>,
+}
+
+impl CellRecord {
+    /// The record of a cell in memory.
+    fn of(cell: &CellResult) -> CellRecord {
+        CellRecord {
+            scene: cell.job.workload.scene,
+            bounce: cell.job.bounce,
+            method: cell.job.method.label(),
+            chip_sms: cell.job.chip.map(|c| c.sms),
+            empty: cell.empty,
+            completed: cell.completed,
+            stats: cell.stats.clone(),
+            chip: cell.chip.clone(),
+        }
+    }
+
+    /// Invert the fields [`CellResult::write_json`] writes for a record.
+    fn parse(v: &Value) -> Option<CellRecord> {
+        let scene = v.get("scene")?.as_str()?;
+        Some(CellRecord {
+            scene: SceneKind::ALL.into_iter().find(|k| k.name() == scene)?,
+            bounce: get_u64(v, "bounce")? as usize,
+            method: v.get("method")?.as_str()?.to_string(),
+            chip_sms: get_opt(v, "chip_config", |c| Some(get_u64(c, "sms")? as usize)).ok()?,
+            empty: get_bool(v, "empty")?,
+            completed: get_bool(v, "completed")?,
+            stats: parse_stats(v.get("stats")?)?,
+            chip: get_opt(v, "chip", parse_chip).ok()?,
+        })
+    }
+}
+
+/// A results document as the figures read it: the run's mode and one
+/// [`CellRecord`] per cell, in document order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ResultsDoc {
+    /// The mode the binary ran (`?` when the document names none).
+    pub mode: String,
+    /// Every cell of the document.
+    pub cells: Vec<CellRecord>,
+}
+
+impl ResultsDoc {
+    /// Read back a document written by [`ResultsFile::to_json`].
+    ///
+    /// # Errors
+    ///
+    /// Says why the text is not a results document: not JSON, no `cells`
+    /// array, or the first cell that does not decode.
+    pub fn parse(text: &str) -> Result<ResultsDoc, String> {
+        let doc = check::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
+        let raw = doc
+            .get("cells")
+            .and_then(Value::as_arr)
+            .ok_or("document has no 'cells' array — is this a BENCH_experiments.json?")?;
+        let cells = raw
+            .iter()
+            .enumerate()
+            .map(|(i, c)| CellRecord::parse(c).ok_or_else(|| format!("cell {i} is malformed")))
+            .collect::<Result<_, _>>()?;
+        let mode = doc.get("mode").and_then(Value::as_str).unwrap_or("?").to_string();
+        Ok(ResultsDoc { mode, cells })
     }
 }
 
@@ -366,6 +474,13 @@ impl ResultsFile {
         j.finish()
     }
 
+    /// The records [`ResultsDoc::parse`] reads back from
+    /// [`ResultsFile::to_json`], taken from memory.
+    pub fn doc(&self) -> ResultsDoc {
+        let cells = self.cells.iter().map(|(_, c)| CellRecord::of(c)).collect();
+        ResultsDoc { mode: self.mode.clone(), cells }
+    }
+
     /// Serialize the run document: everything that legitimately differs
     /// between two executions of the same grid — worker count, whole-run
     /// wall clock, capture-cache and result-store counters, and the
@@ -420,22 +535,7 @@ impl ResultsFile {
             }
             j.key("stats");
             cell.stats.write_json(&mut j);
-            if let Some(report) = &cell.telemetry {
-                j.key("telemetry");
-                report.write_json(&mut j);
-            }
-            if !cell.sm_telemetry.is_empty() {
-                j.key("sm_telemetry");
-                j.begin_arr();
-                for report in &cell.sm_telemetry {
-                    report.write_json(&mut j);
-                }
-                j.end_arr();
-            }
-            if let Some(report) = &cell.chip_telemetry {
-                j.key("chip_telemetry");
-                report.write_json(&mut j);
-            }
+            cell.write_telemetry_json(&mut j);
             j.end_obj();
         }
         j.end_arr();
@@ -483,22 +583,7 @@ impl ResultsFile {
             j.kv_str("id", &cell.job.id().to_string());
             j.kv_str("cell", &cell.cell_name());
             j.kv_f64("simd_efficiency", cell.stats.simd_efficiency());
-            if let Some(report) = &cell.telemetry {
-                j.key("telemetry");
-                report.write_json(&mut j);
-            }
-            if !cell.sm_telemetry.is_empty() {
-                j.key("sm_telemetry");
-                j.begin_arr();
-                for report in &cell.sm_telemetry {
-                    report.write_json(&mut j);
-                }
-                j.end_arr();
-            }
-            if let Some(report) = &cell.chip_telemetry {
-                j.key("chip_telemetry");
-                report.write_json(&mut j);
-            }
+            cell.write_telemetry_json(&mut j);
             j.end_obj();
         }
         j.end_arr();
@@ -635,6 +720,29 @@ mod tests {
             }
         }
         assert!(file.to_json().contains("\"chip_config\":{\"sms\":2"));
+    }
+
+    #[test]
+    fn results_doc_reads_back_what_to_json_writes() {
+        use drs_sim::ChipConfig;
+        let mut chip = sample_cell();
+        chip.job.chip = Some(ChipConfig::gtx780(2));
+        chip.chip =
+            Some(ChipSummary { sms: 2, l2_hits: 3, per_sm_rays: vec![1, 4], ..Default::default() });
+        let mut failed = sample_cell();
+        failed.job.bounce = 3;
+        failed.completed = false;
+        failed.failure = Some(CellFailure::new("panic", "boom".into(), true));
+        let empty = CellResult { empty: true, ..sample_cell() };
+        let mut file = file_with("fig2", 1, 1.0, EntryCounters::default());
+        file.cells = [chip, failed, empty].map(|c| (vec!["fig2".into()], c)).into();
+        let doc = ResultsDoc::parse(&file.to_json()).unwrap();
+        assert_eq!(doc, file.doc());
+        assert_eq!(doc.cells[0].chip_sms, Some(2));
+        assert_eq!((doc.cells[1].bounce, doc.cells[1].completed), (3, false));
+        assert!(doc.cells[2].empty);
+        let err = ResultsDoc::parse(&file.to_json().replace("\"loads\":0,", "")).unwrap_err();
+        assert_eq!(err, "cell 0 is malformed");
     }
 
     #[test]

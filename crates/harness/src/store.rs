@@ -118,10 +118,7 @@ impl StoredCell {
                 attempts: get_u64(cell, "attempts")? as u32,
                 wall_ms: cell.get("wall_ms")?.as_num()?,
                 stats: parse_stats(cell.get("stats")?)?,
-                chip: match cell.get("chip") {
-                    Some(c) => Some(parse_chip(c)?),
-                    None => None,
-                },
+                chip: get_opt(cell, "chip", parse_chip).ok()?,
             },
         ))
     }
@@ -251,11 +248,21 @@ fn num_to_u64(n: f64) -> Option<u64> {
     }
 }
 
-fn get_u64(v: &Value, key: &str) -> Option<u64> {
+pub(crate) fn get_u64(v: &Value, key: &str) -> Option<u64> {
     num_to_u64(v.get(key)?.as_num()?)
 }
 
-fn get_bool(v: &Value, key: &str) -> Option<bool> {
+/// `key`'s value read by `parse`: `Ok(None)` when the key is absent,
+/// `Err(())` when it is present but malformed.
+pub(crate) fn get_opt<T>(
+    v: &Value,
+    key: &str,
+    parse: fn(&Value) -> Option<T>,
+) -> Result<Option<T>, ()> {
+    v.get(key).map(parse).map_or(Ok(None), |t| t.map(Some).ok_or(()))
+}
+
+pub(crate) fn get_bool(v: &Value, key: &str) -> Option<bool> {
     match v.get(key)? {
         Value::Bool(b) => Some(*b),
         _ => None,
@@ -284,7 +291,7 @@ fn parse_cache(v: &Value) -> Option<CacheStats> {
 
 /// Invert [`SimStats::write_json`]: field for field, so a stored cell
 /// round-trips bit-identically (all counters are integers `< 2^53`).
-fn parse_stats(v: &Value) -> Option<SimStats> {
+pub(crate) fn parse_stats(v: &Value) -> Option<SimStats> {
     let mut block_profile = Vec::new();
     for entry in v.get("block_profile")?.as_arr()? {
         block_profile.push((
@@ -323,7 +330,7 @@ fn parse_u64_arr(v: &Value) -> Option<Vec<u64>> {
 }
 
 /// Invert [`ChipSummary::write_json`], field for field.
-fn parse_chip(v: &Value) -> Option<ChipSummary> {
+pub(crate) fn parse_chip(v: &Value) -> Option<ChipSummary> {
     Some(ChipSummary {
         sms: get_u64(v, "sms")? as usize,
         l2_hits: get_u64(v, "l2_hits")?,

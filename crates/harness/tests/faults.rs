@@ -181,6 +181,27 @@ fn cache_fault_quarantines_the_entry_and_recaptures_identical_cells() {
 }
 
 #[test]
+fn cache_and_panic_rules_on_one_job_both_fire_in_either_order() {
+    let jobs = tiny_fig2_jobs();
+    for spec in ["cache@1,panic@1", "panic@1,cache@1"] {
+        let dir = temp_checkpoint();
+        let cached = |faults: &str| RunOptions {
+            capture: CaptureMode::Cached(StreamCache::new(&dir)),
+            faults: FaultPlan::parse(faults).unwrap(),
+            ..opts()
+        };
+        run_jobs(&jobs, &cached("")); // warm the cache so there is an entry to damage
+        let report = run_jobs(&jobs, &cached(spec));
+        assert_eq!(report.cache.quarantined, 1, "{spec}: the cache rule fired");
+        let failures: Vec<_> = report.cells.iter().filter_map(|c| c.failure.as_ref()).collect();
+        assert_eq!(failures.len(), 1, "{spec}");
+        let f = report.cells[1].failure.as_ref().expect("the panic rule fired on job 1");
+        assert_eq!((f.kind.as_str(), f.injected), ("panic", true), "{spec}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
 fn checkpointed_run_resumes_to_a_bit_identical_merge() {
     assert_resume_heals(&tiny_fig2_jobs());
 }
