@@ -9,8 +9,9 @@
 //! derived job id (fig10 and fig11 share their whole grid), executed in
 //! parallel with bit-deterministic results, and written both as the
 //! familiar stdout tables and as machine-readable JSON
-//! (`BENCH_experiments.json`). Fig. 2, 10 and 11 print from the same
-//! figure values `report` renders into RESULTS.md (`drs_bench::figure`).
+//! (`BENCH_experiments.json`). Fig. 2, 8, 9, 10, 11 and Table 2 print
+//! from the same figure values `report` renders into RESULTS.md
+//! (`drs_bench::figure`).
 //!
 //! Scaling knobs: `DRS_RAYS`, `DRS_TRIS_SCALE`, `DRS_WARPS_SCALE` (see the
 //! `drs-bench` crate docs). Absolute Mrays/s values depend on the scaled
@@ -20,8 +21,8 @@ use drs_bench::{cli, figure, Cells};
 use drs_core::overhead::{dmk_spawn_memory_bytes, paper, tbc_warp_buffer_bytes, DrsOverhead};
 use drs_core::DrsConfig;
 use drs_harness::{
-    figures, run_cell, run_jobs, CaptureMode, CellConfig, CellRecord, CheckpointSpec, ChipConfig,
-    JobId, Method, ResultStore, ResultsFile, RunOptions, Scale, SimJob, StreamCache,
+    figures, run_cell, run_jobs, CaptureMode, CellConfig, CheckpointSpec, ChipConfig, JobId,
+    Method, ResultStore, ResultsFile, RunOptions, Scale, SimJob, StreamCache,
 };
 use drs_scene::SceneKind;
 use drs_sim::{ActiveHistogram, GpuConfig};
@@ -246,16 +247,13 @@ fn main() {
     }
 }
 
-/// The presentation order for a mode (`all` = every section).
+/// The figure modes a mode runs, in presentation order (`all` = every
+/// section): [`cli::MODES`] without the utility modes.
 fn modes_for(mode: &str) -> Vec<&'static str> {
-    let all = [
-        "table1", "fig2", "fig8", "fig9", "table2", "fig10", "fig11", "overhead", "ablation",
-        "energy",
-    ];
-    match mode {
-        "all" => all.to_vec(),
-        m => all.iter().copied().filter(|x| *x == m).collect(),
-    }
+    cli::MODES
+        .into_iter()
+        .filter(|m| !matches!(*m, "report" | "verify" | "all") && (mode == "all" || *m == mode))
+        .collect()
 }
 
 fn list_modes(scale: &Scale) {
@@ -525,21 +523,19 @@ fn fig2(cells: &Cells) {
 /// Figure 8: Mrays/s for bounces 1-4 under different backup-row configs.
 fn fig8(cells: &Cells) {
     banner("Figure 8: ray tracing performance (Mrays/s) vs backup ray rows");
-    for kind in SceneKind::ALL {
-        println!("\n{kind}:");
+    for scene in figure::fig8(cells).expect("the run holds every fig8 cell") {
+        println!("\n{}:", scene.scene);
         print!("{:26}", "");
-        for b in 1..=4 {
+        for b in figures::SWEEP_BOUNCES {
             print!("      B{b}");
         }
         println!();
-        for (label, method) in figures::fig8_methods() {
+        for (label, row) in &scene.rows {
             print!("{label:26}");
-            for b in 1..=4 {
-                let cell = cells.require(kind, b, method);
-                if cell.empty {
-                    print!("      --");
-                } else {
-                    print!("  {:6.1}", cells.mrays(&cell.stats));
+            for b in figures::SWEEP_BOUNCES {
+                match row.bounce(b) {
+                    Some(stats) => print!("  {:6.1}", cells.mrays(stats)),
+                    None => print!("      --"),
                 }
             }
             println!();
@@ -550,23 +546,15 @@ fn fig8(cells: &Cells) {
 /// Figure 9: rdctrl warp-issue stall rate vs backup rows.
 fn fig9(cells: &Cells) {
     banner("Figure 9: rdctrl warp issue stall rate vs backup ray rows");
-    for kind in [SceneKind::Conference, SceneKind::FairyForest] {
-        println!("\n{kind}:");
-        for m in [1usize, 2, 4, 8] {
-            let method = Method::Drs { backup_rows: m, swap_buffers: 9, extra_bank: true };
-            let mut stalls = 0u64;
-            let mut issued = 0u64;
-            for b in 1..=4 {
-                let cell = cells.require(kind, b, method);
-                stalls += cell.stats.rdctrl_stalls;
-                issued += cell.stats.rdctrl_issued;
-            }
-            let rate = stalls as f64 / (stalls + issued).max(1) as f64;
+    for scene in figure::fig9(cells).expect("the run holds every fig9 cell") {
+        println!("\n{}:", scene.scene);
+        for r in &scene.rates {
             println!(
-                "  M={m}: stall rate {:6.2}%  ({} stalls / {} issues)",
-                rate * 100.0,
-                stalls,
-                issued
+                "  M={}: stall rate {:6.2}%  ({} stalls / {} issues)",
+                r.backup_rows,
+                r.rate() * 100.0,
+                r.stalls,
+                r.issued
             );
         }
     }
@@ -575,33 +563,22 @@ fn fig9(cells: &Cells) {
 /// Table 2: Mrays/s vs swap-buffer count, plus average swap latency.
 fn table2(cells: &Cells) {
     banner("Table 2: ray tracing performance vs swap buffers (1 backup row)");
-    println!("{:16} {:>4} {:>9} {:>9} {:>9} {:>9}", "scene", "", "#6", "#9", "#12", "#18");
-    let mut swap_cycles = vec![(0u64, 0u64); figures::TABLE2_BUFFERS.len()];
-    for kind in SceneKind::ALL {
-        for b in 1..=4 {
-            let row: Vec<&CellRecord> = figures::TABLE2_BUFFERS
-                .iter()
-                .map(|&buffers| {
-                    let method =
-                        Method::Drs { backup_rows: 1, swap_buffers: buffers, extra_bank: false };
-                    cells.require(kind, b, method)
-                })
-                .collect();
-            if row.iter().all(|c| c.empty) {
-                continue;
-            }
-            print!("{:16} B{b:<3}", kind.to_string());
-            for (i, cell) in row.iter().enumerate() {
-                swap_cycles[i].0 += cell.stats.swap_cycle_sum;
-                swap_cycles[i].1 += cell.stats.swaps_completed;
-                print!(" {:9.2}", cells.mrays(&cell.stats));
-            }
-            println!();
+    let table = figure::table2(cells).expect("the run holds every table2 cell");
+    print!("{:16} {:>4}", "scene", "");
+    for n in figures::TABLE2_BUFFERS {
+        print!(" {:>9}", format!("#{n}"));
+    }
+    println!();
+    for (scene, b, mrays) in &table.rows {
+        print!("{:16} B{b:<3}", scene.to_string());
+        for x in mrays {
+            print!(" {x:9.2}");
         }
+        println!();
     }
     print!("avg swap cycles     ");
-    for (sum, n) in &swap_cycles {
-        print!(" {:9.1}", *sum as f64 / (*n).max(1) as f64);
+    for cycles in &table.avg_swap_cycles {
+        print!(" {cycles:9.1}");
     }
     println!();
 }
@@ -786,14 +763,14 @@ fn energy(cells: &Cells) {
 
     banner("Energy: per-ray dynamic energy and RF traffic");
     let model = EnergyModel::default();
-    for b in 1..=2 {
-        let probe = cells.require(SceneKind::Conference, b, Method::Aila);
+    for b in figures::ENERGY_BOUNCES {
+        let probe = cells.require(figures::ENERGY_SCENE, b, Method::Aila);
         if probe.empty {
             continue;
         }
         println!("\nconference bounce {b} ({} rays):", probe.stats.rays_completed);
         for method in figures::comparison_methods() {
-            let cell = cells.require(SceneKind::Conference, b, method);
+            let cell = cells.require(figures::ENERGY_SCENE, b, method);
             let e = model.estimate(&cell.stats);
             let swap_share = cell.stats.swap_regfile_fraction() * 100.0;
             println!(

@@ -27,8 +27,8 @@ Modes:
   table1 | fig2 | fig8 | fig9 | table2 | fig10 | fig11 |
   overhead | ablation | energy | all        (default: all)
   report           render an existing BENCH_experiments.json (see --out)
-                   into RESULTS.md, comparing measured speedups against
-                   the paper's headline numbers
+                   into RESULTS.md, every figure it holds with a
+                   pass/deviation verdict against the paper's numbers
   verify           run the drs-verify static analyses (structural checks,
                    shuffle live sets, stack-depth and pressure bounds,
                    natural loops) over every registered kernel program,

@@ -1,17 +1,24 @@
-//! The paper's headline figures as data: Fig. 2, Fig. 10 and Fig. 11
-//! are each computed once from [`Cells`] and formatted twice — as the
-//! `experiments` stdout tables and as `RESULTS.md` ([`crate::report`]).
+//! The paper's measured figures as data: Fig. 2, Fig. 8, Fig. 9,
+//! Table 2, Fig. 10 and Fig. 11 are each computed once from [`Cells`]
+//! and formatted twice — as the `experiments` stdout tables and as
+//! `RESULTS.md` ([`crate::report`]). Every grid axis they read comes from
+//! [`drs_harness::figures`], the same definition the job sets are built
+//! from.
 //!
 //! [`Cells`] is filled either from a run in memory or from a results
 //! document read back through [`ResultsDoc::parse`], and both give the
 //! same records. A figure is computed only when the cells hold its whole
 //! grid, so a partial document renders exactly the figures it can back.
 
-use drs_harness::figures::{comparison_methods, CANONICAL_DEPTH};
+use drs_harness::figures::{
+    backup_rows_method, comparison_methods, fig8_methods, table2_method, BACKUP_ROWS,
+    CANONICAL_DEPTH, FIG9_SCENES, SWEEP_BOUNCES, TABLE2_BUFFERS,
+};
 use drs_harness::{CellRecord, Method, ResultsDoc};
 use drs_scene::SceneKind;
 use drs_sim::{ActiveHistogram, GpuConfig, SimStats};
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 
 /// The paper's headline DRS speedups over Aila per scene (Fig. 11), in
 /// [`SceneKind::ALL`] order. The four-scene average is
@@ -25,6 +32,14 @@ pub const PAPER_DRS_SPEEDUPS: [(SceneKind, f64); 4] = [
 
 /// The paper's average DRS speedup over the four scenes.
 pub const PAPER_DRS_AVG_SPEEDUP: f64 = 1.79;
+
+/// The paper's average swap latency in cycles per [`TABLE2_BUFFERS`]
+/// count (Table 2).
+pub const PAPER_TABLE2_SWAP_CYCLES: [f64; 4] = [31.6, 25.0, 24.3, 22.0];
+
+/// The paper's upper bound on the `rdctrl` stall rate at the largest
+/// backup-row count (Fig. 9, M=8).
+pub const PAPER_FIG9_M8_STALL_RATE: f64 = 0.048;
 
 /// Relative deviation from the paper's number under which a measured
 /// speedup counts as reproduced. The workloads are procedural stand-ins
@@ -184,8 +199,8 @@ pub fn fig2(cells: &Cells) -> Option<Fig2> {
     Some(Fig2 { bounces, trend })
 }
 
-/// One method on one scene of the comparison grid that Fig. 10 and
-/// Fig. 11 share.
+/// One method on one scene over a range of bounces: a row of the
+/// comparison grid that Fig. 10 and Fig. 11 share, or of Fig. 8.
 #[derive(Debug, Clone)]
 pub struct Row {
     /// The method.
@@ -198,6 +213,54 @@ pub struct Row {
     pub mrays: Option<f64>,
     /// Throughput over Aila's; `None` without a positive Aila baseline.
     pub speedup: Option<f64>,
+}
+
+impl Row {
+    /// The stats of bounce `b`, unless it is empty.
+    pub fn bounce(&self, b: usize) -> Option<&SimStats> {
+        self.bounces.iter().find(|(x, _)| *x == b).map(|(_, s)| s)
+    }
+}
+
+/// The row of `method` on `scene` over `bounces`, or `None` unless
+/// `cells` hold every one of them.
+fn row(
+    cells: &Cells,
+    scene: SceneKind,
+    method: Method,
+    bounces: RangeInclusive<usize>,
+) -> Option<Row> {
+    let mut overall: Option<Aggregate> = None;
+    let mut kept = Vec::new();
+    for b in bounces {
+        let cell = cells.get(scene, b, method)?;
+        if !cell.empty {
+            overall.get_or_insert_default().add(&cell.stats);
+            kept.push((b, cell.stats.clone()));
+        }
+    }
+    let clock = GpuConfig::gtx780().clock_mhz;
+    let mrays = overall.as_ref().map(|a| a.mrays_at(clock, cells.smx_scale()));
+    Some(Row { method, bounces: kept, overall, mrays, speedup: None })
+}
+
+/// The rows of `methods` on `scene`, Aila first, each with its speedup
+/// over Aila.
+fn rows(
+    cells: &Cells,
+    scene: SceneKind,
+    methods: impl IntoIterator<Item = Method>,
+    bounces: RangeInclusive<usize>,
+) -> Option<Vec<Row>> {
+    let mut rows: Vec<Row> = methods
+        .into_iter()
+        .map(|m| row(cells, scene, m, bounces.clone()))
+        .collect::<Option<_>>()?;
+    let aila = rows[0].mrays.filter(|&a| a > 0.0);
+    for row in &mut rows {
+        row.speedup = aila.and_then(|a| Some(row.mrays? / a));
+    }
+    Some(rows)
 }
 
 /// One scene of the comparison grid: Aila, DMK, TBC and DRS, in order.
@@ -231,30 +294,13 @@ impl Scene {
 /// Fig. 10: the comparison grid in [`SceneKind::ALL`] order, or `None`
 /// unless `cells` hold all of it.
 pub fn fig10(cells: &Cells) -> Option<Vec<Scene>> {
-    let gpu = GpuConfig::gtx780();
-    let mut scenes = Vec::new();
-    for (scene, paper) in PAPER_DRS_SPEEDUPS {
-        let mut rows = Vec::new();
-        for method in comparison_methods() {
-            let mut overall: Option<Aggregate> = None;
-            let mut bounces = Vec::new();
-            for b in 1..=CANONICAL_DEPTH {
-                let cell = cells.get(scene, b, method)?;
-                if !cell.empty {
-                    overall.get_or_insert_default().add(&cell.stats);
-                    bounces.push((b, cell.stats.clone()));
-                }
-            }
-            let mrays = overall.as_ref().map(|a| a.mrays_at(gpu.clock_mhz, cells.smx_scale()));
-            rows.push(Row { method, bounces, overall, mrays, speedup: None });
-        }
-        let aila = rows[0].mrays.filter(|&a| a > 0.0);
-        for row in &mut rows {
-            row.speedup = aila.and_then(|a| Some(row.mrays? / a));
-        }
-        scenes.push(Scene { scene, rows, paper });
-    }
-    Some(scenes)
+    PAPER_DRS_SPEEDUPS
+        .into_iter()
+        .map(|(scene, paper)| {
+            let rows = rows(cells, scene, comparison_methods(), 1..=CANONICAL_DEPTH)?;
+            Some(Scene { scene, rows, paper })
+        })
+        .collect()
 }
 
 /// Fig. 11: throughput and speedup over Aila by method.
@@ -286,6 +332,149 @@ pub fn fig11(cells: &Cells) -> Option<Fig11> {
         })
         .collect();
     Some(Fig11 { scenes, averages })
+}
+
+/// Fig. 8 on one scene: one row per [`fig8_methods`] entry, in order,
+/// over [`SWEEP_BOUNCES`].
+#[derive(Debug, Clone)]
+pub struct Fig8Scene {
+    /// The scene.
+    pub scene: SceneKind,
+    /// `(label, row)` per method; the rows' speedups are over Aila.
+    pub rows: Vec<(String, Row)>,
+}
+
+impl Fig8Scene {
+    fn mrays(&self, method: Method) -> Option<f64> {
+        self.rows.iter().find(|(_, r)| r.method == method)?.1.mrays
+    }
+
+    /// The fewest backup rows' throughput (`measured`) against the
+    /// most's (`paper`): the paper's claim is that they barely differ.
+    pub fn fewest_vs_most_rows(&self) -> Option<VsPaper> {
+        Some(VsPaper {
+            measured: self.mrays(backup_rows_method(BACKUP_ROWS[0]))?,
+            paper: self.mrays(backup_rows_method(BACKUP_ROWS[BACKUP_ROWS.len() - 1]))?,
+        })
+    }
+
+    /// DRS with the fewest backup rows outruns Aila.
+    pub fn fewest_rows_beat_aila(&self) -> Option<bool> {
+        Some(self.mrays(backup_rows_method(BACKUP_ROWS[0]))? > self.mrays(Method::Aila)?)
+    }
+}
+
+/// Fig. 8: Mrays/s per [`fig8_methods`] config and bounce, every scene in
+/// [`SceneKind::ALL`] order, or `None` unless `cells` hold all of it.
+pub fn fig8(cells: &Cells) -> Option<Vec<Fig8Scene>> {
+    SceneKind::ALL
+        .into_iter()
+        .map(|scene| {
+            let (labels, methods): (Vec<String>, Vec<Method>) = fig8_methods().into_iter().unzip();
+            let rows = rows(cells, scene, methods, SWEEP_BOUNCES)?;
+            Some(Fig8Scene { scene, rows: labels.into_iter().zip(rows).collect() })
+        })
+        .collect()
+}
+
+/// `rdctrl` issue outcomes of one backup-row count, summed over
+/// [`SWEEP_BOUNCES`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StallRate {
+    /// Backup rows M.
+    pub backup_rows: usize,
+    /// Cycles a warp's `rdctrl` was refused.
+    pub stalls: u64,
+    /// `rdctrl` instructions issued.
+    pub issued: u64,
+}
+
+impl StallRate {
+    /// Stalls over issue attempts.
+    pub fn rate(&self) -> f64 {
+        self.stalls as f64 / (self.stalls + self.issued).max(1) as f64
+    }
+}
+
+/// Fig. 9 on one scene: one [`StallRate`] per [`BACKUP_ROWS`] count.
+#[derive(Debug, Clone)]
+pub struct Fig9Scene {
+    /// The scene.
+    pub scene: SceneKind,
+    /// In [`BACKUP_ROWS`] order.
+    pub rates: Vec<StallRate>,
+}
+
+impl Fig9Scene {
+    /// The first step from one M to the next where the stall rate rises;
+    /// the paper's claim is that there is none.
+    pub fn first_rise(&self) -> Option<[StallRate; 2]> {
+        self.rates.windows(2).find(|w| w[1].rate() > w[0].rate()).map(|w| [w[0], w[1]])
+    }
+}
+
+/// Fig. 9: the `rdctrl` stall rate per [`FIG9_SCENES`] scene and backup-row
+/// count, or `None` unless `cells` hold its whole grid.
+pub fn fig9(cells: &Cells) -> Option<Vec<Fig9Scene>> {
+    FIG9_SCENES
+        .into_iter()
+        .map(|scene| {
+            let rates = BACKUP_ROWS
+                .into_iter()
+                .map(|m| {
+                    let mut rate = StallRate { backup_rows: m, stalls: 0, issued: 0 };
+                    for b in SWEEP_BOUNCES {
+                        let cell = cells.get(scene, b, backup_rows_method(m))?;
+                        rate.stalls += cell.stats.rdctrl_stalls;
+                        rate.issued += cell.stats.rdctrl_issued;
+                    }
+                    Some(rate)
+                })
+                .collect::<Option<_>>()?;
+            Some(Fig9Scene { scene, rates })
+        })
+        .collect()
+}
+
+/// Table 2: throughput and swap latency per [`TABLE2_BUFFERS`] count.
+#[derive(Debug, Clone)]
+pub struct Table2 {
+    /// `(scene, bounce, Mrays/s per buffer count)` for every scene and
+    /// bounce of [`SWEEP_BOUNCES`] where some buffer count has rays.
+    pub rows: Vec<(SceneKind, usize, Vec<f64>)>,
+    /// Mean cycles per completed swap per buffer count, over those rows.
+    pub avg_swap_cycles: Vec<f64>,
+}
+
+impl Table2 {
+    /// The paper's claim: more swap buffers, strictly shorter swaps.
+    pub fn swap_cycles_fall(&self) -> bool {
+        self.avg_swap_cycles.windows(2).all(|w| w[1] < w[0])
+    }
+}
+
+/// Table 2 from `cells`, or `None` unless they hold its whole grid.
+pub fn table2(cells: &Cells) -> Option<Table2> {
+    let mut rows = Vec::new();
+    let mut swaps = [(0u64, 0u64); TABLE2_BUFFERS.len()];
+    for scene in SceneKind::ALL {
+        for b in SWEEP_BOUNCES {
+            let row: Vec<&CellRecord> = TABLE2_BUFFERS
+                .iter()
+                .map(|&n| cells.get(scene, b, table2_method(n)))
+                .collect::<Option<_>>()?;
+            if row.iter().all(|c| c.empty) {
+                continue;
+            }
+            for (acc, cell) in swaps.iter_mut().zip(&row) {
+                acc.0 += cell.stats.swap_cycle_sum;
+                acc.1 += cell.stats.swaps_completed;
+            }
+            rows.push((scene, b, row.iter().map(|c| cells.mrays(&c.stats)).collect()));
+        }
+    }
+    let avg_swap_cycles = swaps.iter().map(|&(sum, n)| sum as f64 / n.max(1) as f64).collect();
+    Some(Table2 { rows, avg_swap_cycles })
 }
 
 #[cfg(test)]

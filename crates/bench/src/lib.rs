@@ -4,12 +4,14 @@
 //! machine-readable results and their decoder — lives in the `drs-harness`
 //! crate. This crate keeps what is specific to *presenting* the paper's
 //! evaluation: the `experiments` binary (one mode per paper table/figure,
-//! see [`cli`]), the headline figures as data ([`figure`]: Fig. 2, 10 and
-//! 11 computed once from [`Cells`], whether the cells come from a run in
-//! memory or from its results JSON), and the `RESULTS.md` renderer
-//! ([`report`]), which formats those same figures as markdown. Timing the
-//! simulator itself is the job of the benchmark package under
-//! `src/bin/benchmark`.
+//! see [`cli`]), the measured figures as data ([`figure`]: Fig. 2, 8, 9,
+//! 10, 11 and Table 2 computed once from [`Cells`], whether the cells come
+//! from a run in memory or from its results JSON, over the grid axes
+//! [`drs_harness::figures`] defines), and the `RESULTS.md` renderer
+//! ([`report`]), which formats those same figures as markdown with a
+//! verdict per figure. RESULTS.md is the one place measured numbers are
+//! written down. Timing the simulator itself is the job of the benchmark
+//! package under `src/bin/benchmark`.
 //!
 //! Scaling knobs, resolved once per process by
 //! [`drs_harness::Scale::from_env`]: `DRS_RAYS` (rays captured per

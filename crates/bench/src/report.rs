@@ -6,9 +6,14 @@
 //! harness's own decoder ([`drs_harness::ResultsDoc::parse`]) into
 //! [`Cells`]. The figures are the values the stdout tables print
 //! ([`crate::figure`]), formatted here as markdown with pass / deviation
-//! markers against the paper's headline numbers.
+//! markers against the paper's numbers or claims: Fig. 11, Fig. 2 and
+//! Fig. 10, then the Fig. 8, Fig. 9 and Table 2 sweeps. A failing row
+//! reads **deviation**; nothing is hidden.
 
-use crate::figure::{self, times, Cells, VsPaper, PASS_BAND};
+use crate::figure::{
+    self, times, Cells, VsPaper, PAPER_FIG9_M8_STALL_RATE, PAPER_TABLE2_SWAP_CYCLES, PASS_BAND,
+};
+use drs_harness::figures::{BACKUP_ROWS, TABLE2_BUFFERS};
 use drs_harness::ResultsDoc;
 use std::collections::BTreeMap;
 
@@ -65,6 +70,9 @@ pub fn render(cells: &Cells) -> String {
     render_fig11(&mut md, cells);
     render_fig2(&mut md, cells);
     render_fig10(&mut md, cells);
+    render_fig8(&mut md, cells);
+    render_fig9(&mut md, cells);
+    render_table2(&mut md, cells);
     render_chip_profile(&mut md, cells);
 
     md.push_str(
@@ -155,6 +163,116 @@ fn render_fig10(md: &mut String, cells: &Cells) {
         ));
     }
     md.push('\n');
+}
+
+/// The cells of a markdown table row.
+fn table_row(cells: impl IntoIterator<Item = String>) -> String {
+    let cells: Vec<String> = cells.into_iter().collect();
+    format!("| {} |\n", cells.join(" | "))
+}
+
+/// A markdown table header for `columns`.
+fn table_head(columns: impl IntoIterator<Item = String>) -> String {
+    let columns: Vec<String> = columns.into_iter().collect();
+    let rule = vec!["---"; columns.len()].join("|");
+    format!("{}|{rule}|\n", table_row(columns))
+}
+
+fn render_fig8(md: &mut String, cells: &Cells) {
+    let (fewest, most) = (BACKUP_ROWS[0], BACKUP_ROWS[BACKUP_ROWS.len() - 1]);
+    md.push_str("## Figure 8: performance vs. backup ray rows\n\n");
+    let Some(fig) = figure::fig8(cells) else {
+        md.push_str("*(no fig8 cells in this results file — run `fig8` or `all`)*\n\n");
+        return;
+    };
+    md.push_str("Whole-GPU Mrays/s over B1–B4 per backup-row config.\n\n");
+    let labels = fig[0].rows.iter().map(|(label, _)| label.clone());
+    let verdict_head = format!("M={fewest} vs M={most}");
+    md.push_str(&table_head(std::iter::once("scene".into()).chain(labels).chain([verdict_head])));
+    for s in &fig {
+        let mrays = s.rows.iter().map(|(_, r)| r.mrays.map_or("--".into(), |x| format!("{x:.1}")));
+        let mark = match (s.fewest_vs_most_rows(), s.fewest_rows_beat_aila()) {
+            (Some(v), Some(true)) => verdict(v),
+            (Some(v), Some(false)) => {
+                format!("**deviation** ({:+.0}%, M={fewest} ≤ Aila)", v.deviation() * 100.0)
+            }
+            _ => "--".into(),
+        };
+        md.push_str(&table_row(std::iter::once(s.scene.to_string()).chain(mrays).chain([mark])));
+    }
+    md.push_str(&format!(
+        "\nPaper's claim: throughput barely depends on the backup-row count, so \
+         one backup row suffices. Verdict per scene: DRS M={fewest} is within \
+         {:.0}% of M={most} and faster than Aila.\n\n",
+        PASS_BAND * 100.0
+    ));
+}
+
+fn render_fig9(md: &mut String, cells: &Cells) {
+    let most = BACKUP_ROWS[BACKUP_ROWS.len() - 1];
+    md.push_str("## Figure 9: rdctrl stall rate vs. backup ray rows\n\n");
+    let Some(fig) = figure::fig9(cells) else {
+        md.push_str("*(no fig9 cells in this results file — run `fig9` or `all`)*\n\n");
+        return;
+    };
+    md.push_str("Refused `rdctrl` issue attempts over all attempts, B1–B4.\n\n");
+    let columns = BACKUP_ROWS.iter().map(|m| format!("M={m}"));
+    md.push_str(&table_head(
+        std::iter::once("scene".into())
+            .chain(columns)
+            .chain([format!("M={most} (paper)"), "verdict".into()]),
+    ));
+    for s in &fig {
+        let rates = s.rates.iter().map(|r| format!("{:.2}%", r.rate() * 100.0));
+        let mark = match s.first_rise() {
+            None => "pass".into(),
+            Some([from, to]) => format!(
+                "**deviation** (rises M={}→M={} by {:.4} pts)",
+                from.backup_rows,
+                to.backup_rows,
+                (to.rate() - from.rate()) * 100.0
+            ),
+        };
+        let paper = format!("≤{:.1}%", PAPER_FIG9_M8_STALL_RATE * 100.0);
+        md.push_str(&table_row(
+            std::iter::once(s.scene.to_string()).chain(rates).chain([paper, mark]),
+        ));
+    }
+    md.push_str(
+        "\nPaper's claim: the stall rate falls as backup rows are added. \
+         Verdict per scene: the rate does not rise from one M to the next.\n\n",
+    );
+}
+
+fn render_table2(md: &mut String, cells: &Cells) {
+    md.push_str("## Table 2: performance vs. swap buffers\n\n");
+    let Some(table) = figure::table2(cells) else {
+        md.push_str("*(no table2 cells in this results file — run `table2` or `all`)*\n\n");
+        return;
+    };
+    md.push_str(
+        "Whole-GPU Mrays/s per bounce with one backup row, and the mean \
+         cycles per completed swap.\n\n",
+    );
+    let columns = TABLE2_BUFFERS.iter().map(|n| format!("#{n}"));
+    md.push_str(&table_head(["scene".into(), "bounce".into()].into_iter().chain(columns)));
+    for (scene, b, mrays) in &table.rows {
+        let mrays = mrays.iter().map(|x| format!("{x:.1}"));
+        md.push_str(&table_row([scene.to_string(), format!("B{b}")].into_iter().chain(mrays)));
+    }
+    let cycles = table.avg_swap_cycles.iter().map(|c| format!("{c:.1}"));
+    md.push_str(&table_row(["avg swap cycles".into(), String::new()].into_iter().chain(cycles)));
+    let paper = PAPER_TABLE2_SWAP_CYCLES.iter().map(|c| format!("{c:.1}"));
+    md.push_str(&table_row(
+        ["avg swap cycles (paper)".into(), String::new()].into_iter().chain(paper),
+    ));
+    md.push_str(&format!(
+        "\nPaper's claim: swaps get shorter as swap buffers are added. Verdict: \
+         average swap cycles strictly fall from #{} to #{} ({}).\n\n",
+        TABLE2_BUFFERS[0],
+        TABLE2_BUFFERS[TABLE2_BUFFERS.len() - 1],
+        if table.swap_cycles_fall() { "pass" } else { "**deviation**" }
+    ));
 }
 
 /// Footnote table for chip-accurate cells: per-(scene, method) shared
@@ -357,6 +475,8 @@ mod tests {
         assert!(md.contains("no fig11 cells"));
         assert!(md.contains("no fig2 cells"));
         assert!(md.contains("no fig10 cells"));
+        assert!(md.contains("no fig8 cells") && md.contains("no fig9 cells"));
+        assert!(md.contains("no table2 cells"));
         // A figure renders only with its whole grid: one missing cell
         // drops Fig. 10 and Fig. 11 but not Fig. 2, whose cells remain.
         let mut jobs = sample_jobs();
@@ -364,6 +484,105 @@ mod tests {
         let md = render_json(&document("fig11", &jobs, sample_cell)).unwrap();
         assert!(md.contains("no fig11 cells") && md.contains("no fig10 cells"), "{md}");
         assert!(md.contains("| B1 | 93.8% |"), "{md}");
+    }
+
+    /// The Fig. 9 grid: fairy forest's stall rate falls with M, and
+    /// conference's falls except from M=2 (99.0704%) to M=4, which has
+    /// `m4_stalls` of every 2.5M `rdctrl` attempts per cell.
+    fn fig9_md(m4_stalls: u64) -> String {
+        let jobs = figures::fig9(&SCALE).jobs;
+        let doc = document("fig9", &jobs, |job| {
+            let Method::Drs { backup_rows: m, .. } = job.method else { unreachable!() };
+            let stalls = match (job.workload.scene, m) {
+                (SceneKind::Conference, 4) => m4_stalls,
+                (SceneKind::Conference, m) => 2_476_800 - 20 * m as u64,
+                (_, m) => 2_000_000 - 1000 * m as u64,
+            };
+            let s = SimStats {
+                rdctrl_stalls: stalls,
+                rdctrl_issued: 2_500_000 - stalls,
+                ..stats(10, 300, 10)
+            };
+            (s, None)
+        });
+        render_json(&doc).unwrap()
+    }
+
+    #[test]
+    fn fig9_flags_any_rise_and_passes_a_tie() {
+        // 99.0718% at M=4: conference's rise at the committed scale.
+        let md = fig9_md(2_476_795);
+        assert!(md.contains("| ≤4.8% | **deviation** (rises M=2→M=4 by 0.0014 pts) |"), "{md}");
+        assert!(
+            md.contains("| fairy forest | 79.96% | 79.92% | 79.84% | 79.68% | ≤4.8% | pass |"),
+            "{md}"
+        );
+        let tie = fig9_md(2_476_760);
+        assert!(
+            tie.contains("| conference room | 99.07% | 99.07% | 99.07% | 99.07% | ≤4.8% | pass |"),
+            "{tie}"
+        );
+    }
+
+    #[test]
+    fn fig9_document_renders_only_fig9() {
+        let md = fig9_md(2_476_760);
+        assert!(md.contains("| scene | M=1 | M=2 | M=4 | M=8 | M=8 (paper) | verdict |"), "{md}");
+        assert!(md.contains("no fig8 cells") && md.contains("no table2 cells"), "{md}");
+        assert!(md.contains("no fig2 cells") && md.contains("no fig11 cells"), "{md}");
+    }
+
+    /// The Table 2 grid with `swap_cycles[i]` cycles per swap at the
+    /// i-th buffer count.
+    fn table2_md(swap_cycles: [u64; 4]) -> String {
+        let jobs = figures::table2(&SCALE).jobs;
+        let doc = document("table2", &jobs, |job| {
+            let Method::Drs { swap_buffers, .. } = job.method else { unreachable!() };
+            let i = figures::TABLE2_BUFFERS.iter().position(|&n| n == swap_buffers).unwrap();
+            let s = SimStats {
+                swap_cycle_sum: 10 * swap_cycles[i],
+                swaps_completed: 10,
+                ..stats(10, 300, 10)
+            };
+            (s, None)
+        });
+        render_json(&doc).unwrap()
+    }
+
+    #[test]
+    fn table2_demands_strictly_falling_swap_cycles() {
+        let md = table2_md([20, 17, 16, 14]);
+        assert!(md.contains("| avg swap cycles |  | 20.0 | 17.0 | 16.0 | 14.0 |"), "{md}");
+        assert!(md.contains("| avg swap cycles (paper) |  | 31.6 | 25.0 | 24.3 | 22.0 |"));
+        assert!(md.contains("strictly fall from #6 to #18 (pass)"), "{md}");
+        let md = table2_md([20, 17, 17, 14]);
+        assert!(md.contains("strictly fall from #6 to #18 (**deviation**)"), "{md}");
+    }
+
+    /// The Fig. 8 grid: every cell completes 300 rays, DRS M=1 in
+    /// `m1_cycles` cycles, Aila in 3200 and every other config in 1200.
+    fn fig8_md(m1_cycles: u64) -> String {
+        let jobs = figures::fig8(&SCALE).jobs;
+        let doc = document("fig8", &jobs, |job| {
+            let cycles = match job.method {
+                Method::Aila => 3200,
+                m if m == figures::backup_rows_method(1) => m1_cycles,
+                _ => 1200,
+            };
+            (SimStats { rays_completed: 300, ..stats(cycles, 300, 10) }, None)
+        });
+        render_json(&doc).unwrap()
+    }
+
+    #[test]
+    fn fig8_band_edge_passes_like_vs_paper() {
+        // 300/1600 against 300/1200 rays per cycle: exactly 25% below M=8.
+        let md = fig8_md(1600);
+        let row =
+            "| conference room | 1378.1 | 3675.0 | 2756.2 | 3675.0 | 3675.0 | 3675.0 | 3675.0 |";
+        assert!(md.contains(&format!("{row} pass (-25%) |")), "{md}");
+        assert!(fig8_md(1601).contains("| **deviation** (-25%) |"));
+        assert!(fig8_md(4000).contains("| **deviation** (-70%, M=1 ≤ Aila) |"));
     }
 
     #[test]
@@ -389,6 +608,16 @@ mod tests {
         let (memory, json) = both_renderings(&figures::fig11(&SCALE));
         assert!(memory.contains("| **average** |"), "{memory}");
         assert!(memory.contains("| B1 |"), "{memory}");
+        assert_eq!(memory, json);
+        // Fig. 8 and Table 2; Fig. 9's grid is part of Fig. 8's.
+        let mut sweeps = figures::fig8(&SCALE);
+        let mut ids: std::collections::HashSet<_> = sweeps.jobs.iter().map(SimJob::id).collect();
+        sweeps.jobs.extend(figures::table2(&SCALE).jobs.into_iter().filter(|j| ids.insert(j.id())));
+        let (memory, json) = both_renderings(&sweeps);
+        for name in ["fig8", "fig9", "table2"] {
+            assert!(!memory.contains(&format!("no {name} cells")), "{memory}");
+        }
+        assert!(memory.contains("| avg swap cycles (paper) |"), "{memory}");
         assert_eq!(memory, json);
         let chip = figures::fig2(&SCALE).with_chip(ChipConfig::gtx780(2));
         let (memory, json) = both_renderings(&chip);

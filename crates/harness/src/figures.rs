@@ -1,6 +1,10 @@
 //! Declarative job sets: each figure/table of the paper's evaluation as a
 //! plain enumeration of [`SimJob`]s.
 //!
+//! Each grid's axes (scenes, methods, bounces, backup-row and swap-buffer
+//! counts) are exported next to its job set, and the code that presents
+//! a figure reads the same axes, so every grid is defined here once.
+//!
 //! All sets share [`CANONICAL_DEPTH`]-bounce workloads per scene. Capture
 //! fills each bounce bucket independently up to the ray budget, so the
 //! first `k` bounces of a depth-8 capture are bit-identical to a depth-4
@@ -10,6 +14,7 @@
 
 use crate::job::{JobSet, Method, Scale, SimJob, WorkloadSpec};
 use drs_scene::SceneKind;
+use std::ops::RangeInclusive;
 
 /// Capture depth shared by every figure's workloads.
 pub const CANONICAL_DEPTH: usize = 8;
@@ -23,68 +28,87 @@ fn job(wl: WorkloadSpec, bounce: usize, method: Method, scale: &Scale) -> SimJob
     SimJob { workload: wl, bounce, method, warps: scale.warps(method.paper_warps()), chip: None }
 }
 
-/// Figure 2: Aila kernel per-bounce SIMD efficiency on the conference room.
-pub fn fig2(scale: &Scale) -> JobSet {
-    let mut set = JobSet::new("fig2");
-    let wl = WorkloadSpec::standard(SceneKind::Conference, scale, CANONICAL_DEPTH);
-    for b in 1..=CANONICAL_DEPTH {
-        set.push(job(wl, b, Method::Aila, scale));
+/// Every (scene, method, bounce) cell of `scenes` × `methods` ×
+/// `bounces`, in that nesting order.
+fn grid(
+    name: &str,
+    scale: &Scale,
+    scenes: &[SceneKind],
+    methods: &[Method],
+    bounces: RangeInclusive<usize>,
+) -> JobSet {
+    let mut set = JobSet::new(name);
+    for &kind in scenes {
+        let wl = WorkloadSpec::standard(kind, scale, CANONICAL_DEPTH);
+        for &method in methods {
+            for b in bounces.clone() {
+                set.push(job(wl, b, method, scale));
+            }
+        }
     }
     set
 }
 
+/// Figure 2: Aila kernel per-bounce SIMD efficiency on the conference room.
+pub fn fig2(scale: &Scale) -> JobSet {
+    grid("fig2", scale, &[SceneKind::Conference], &[Method::Aila], 1..=CANONICAL_DEPTH)
+}
+
+/// The bounces the backup-row and swap-buffer sweeps (Fig. 8, Fig. 9,
+/// Table 2) cover.
+pub const SWEEP_BOUNCES: RangeInclusive<usize> = 1..=4;
+
+/// The backup-row counts M that Fig. 8 and Fig. 9 sweep.
+pub const BACKUP_ROWS: [usize; 4] = [1, 2, 4, 8];
+
+/// DRS with `m` backup rows as Fig. 8 and Fig. 9 sweep it: nine swap
+/// buffers and the extra register bank.
+pub fn backup_rows_method(m: usize) -> Method {
+    Method::Drs { backup_rows: m, swap_buffers: 9, extra_bank: true }
+}
+
 /// The method column of Figure 8: Aila, DRS backup-row sweep, ideal DRS.
 pub fn fig8_methods() -> Vec<(String, Method)> {
-    let drs = |m, extra_bank| Method::Drs { backup_rows: m, swap_buffers: 9, extra_bank };
+    let no_xbank = Method::Drs { backup_rows: 1, swap_buffers: 9, extra_bank: false };
     let mut methods =
-        vec![("Aila".into(), Method::Aila), ("DRS M=1 (no xbank, 58w)".into(), drs(1, false))];
-    methods.extend([1, 2, 4, 8].map(|m| (format!("DRS M={m}"), drs(m, true))));
+        vec![("Aila".into(), Method::Aila), ("DRS M=1 (no xbank, 58w)".into(), no_xbank)];
+    methods.extend(BACKUP_ROWS.map(|m| (format!("DRS M={m}"), backup_rows_method(m))));
     methods.push(("DRS ideal".into(), Method::IdealDrs));
     methods
 }
 
 /// Figure 8: Mrays/s for bounces 1–4 under different backup-row configs.
 pub fn fig8(scale: &Scale) -> JobSet {
-    let mut set = JobSet::new("fig8");
-    for kind in SceneKind::ALL {
-        let wl = WorkloadSpec::standard(kind, scale, CANONICAL_DEPTH);
-        for (_, method) in fig8_methods() {
-            for b in 1..=4 {
-                set.push(job(wl, b, method, scale));
-            }
-        }
-    }
-    set
+    let methods: Vec<Method> = fig8_methods().into_iter().map(|(_, m)| m).collect();
+    grid("fig8", scale, &SceneKind::ALL, &methods, SWEEP_BOUNCES)
 }
+
+/// The scenes Figure 9 plots.
+pub const FIG9_SCENES: [SceneKind; 2] = [SceneKind::Conference, SceneKind::FairyForest];
 
 /// Figure 9: rdctrl stall rate vs backup rows (conference, fairy).
 pub fn fig9(scale: &Scale) -> JobSet {
-    let mut set = JobSet::new("fig9");
-    for kind in [SceneKind::Conference, SceneKind::FairyForest] {
-        let wl = WorkloadSpec::standard(kind, scale, CANONICAL_DEPTH);
-        for m in [1usize, 2, 4, 8] {
-            let method = Method::Drs { backup_rows: m, swap_buffers: 9, extra_bank: true };
-            for b in 1..=4 {
-                set.push(job(wl, b, method, scale));
-            }
-        }
-    }
-    set
+    let methods = BACKUP_ROWS.map(backup_rows_method);
+    grid("fig9", scale, &FIG9_SCENES, &methods, SWEEP_BOUNCES)
 }
 
 /// The swap-buffer counts Table 2 sweeps.
 pub const TABLE2_BUFFERS: [usize; 4] = [6, 9, 12, 18];
+
+/// DRS with `buffers` swap buffers as Table 2 sweeps it: one backup row
+/// without the extra register bank.
+pub fn table2_method(buffers: usize) -> Method {
+    Method::Drs { backup_rows: 1, swap_buffers: buffers, extra_bank: false }
+}
 
 /// Table 2: Mrays/s vs swap-buffer count (1 backup row).
 pub fn table2(scale: &Scale) -> JobSet {
     let mut set = JobSet::new("table2");
     for kind in SceneKind::ALL {
         let wl = WorkloadSpec::standard(kind, scale, CANONICAL_DEPTH);
-        for b in 1..=4 {
+        for b in SWEEP_BOUNCES {
             for buffers in TABLE2_BUFFERS {
-                let method =
-                    Method::Drs { backup_rows: 1, swap_buffers: buffers, extra_bank: false };
-                set.push(job(wl, b, method, scale));
+                set.push(job(wl, b, table2_method(buffers), scale));
             }
         }
     }
@@ -103,16 +127,7 @@ pub fn fig11(scale: &Scale) -> JobSet {
 }
 
 fn comparison_grid(name: &str, scale: &Scale) -> JobSet {
-    let mut set = JobSet::new(name);
-    for kind in SceneKind::ALL {
-        let wl = WorkloadSpec::standard(kind, scale, CANONICAL_DEPTH);
-        for method in comparison_methods() {
-            for b in 1..=CANONICAL_DEPTH {
-                set.push(job(wl, b, method, scale));
-            }
-        }
-    }
-    set
+    grid(name, scale, &SceneKind::ALL, &comparison_methods(), 1..=CANONICAL_DEPTH)
 }
 
 /// The Aila software-optimization ablation grid (conference, bounce 2).
@@ -141,11 +156,17 @@ pub fn ablation(scale: &Scale) -> JobSet {
     set
 }
 
+/// The scene of the energy comparison.
+pub const ENERGY_SCENE: SceneKind = SceneKind::Conference;
+
+/// The bounces of the energy comparison: primary and first secondary.
+pub const ENERGY_BOUNCES: RangeInclusive<usize> = 1..=2;
+
 /// Energy comparison: conference bounces 1–2 across the method grid.
 pub fn energy(scale: &Scale) -> JobSet {
     let mut set = JobSet::new("energy");
-    let wl = WorkloadSpec::standard(SceneKind::Conference, scale, CANONICAL_DEPTH);
-    for b in 1..=2 {
+    let wl = WorkloadSpec::standard(ENERGY_SCENE, scale, CANONICAL_DEPTH);
+    for b in ENERGY_BOUNCES {
         for method in comparison_methods() {
             set.push(job(wl, b, method, scale));
         }
@@ -191,6 +212,13 @@ mod tests {
         let a: Vec<_> = fig10(&scale).jobs.iter().map(super::super::job::SimJob::id).collect();
         let b: Vec<_> = fig11(&scale).jobs.iter().map(super::super::job::SimJob::id).collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn fig9_grid_is_part_of_fig8s() {
+        let scale = Scale::default();
+        let fig8: std::collections::HashSet<_> = fig8(&scale).jobs.iter().map(SimJob::id).collect();
+        assert!(fig9(&scale).jobs.iter().all(|j| fig8.contains(&j.id())));
     }
 
     #[test]

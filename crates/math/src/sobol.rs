@@ -63,11 +63,6 @@ impl Sobol02 {
     pub fn sample(&self, index: u32) -> (f32, f32) {
         sample_02(index, self.scramble)
     }
-
-    /// First dimension only.
-    pub fn sample_1d(&self, index: u32) -> f32 {
-        sobol_dim0(index, self.scramble.0)
-    }
 }
 
 #[cfg(test)]

@@ -78,12 +78,6 @@ impl<'s> PathTracer<'s> {
         PathTracer { scene, bvh: Bvh::build(scene.mesh(), &BuildParams::default()) }
     }
 
-    /// Construct from an externally built BVH (lets callers share one BVH
-    /// between rendering and trace capture).
-    pub fn with_bvh(scene: &'s Scene, bvh: Bvh) -> PathTracer<'s> {
-        PathTracer { scene, bvh }
-    }
-
     /// The BVH the tracer traverses.
     pub fn bvh(&self) -> &Bvh {
         &self.bvh

@@ -95,11 +95,6 @@ impl SceneKind {
             SceneKind::Plants => generators::plants(target_tris),
         }
     }
-
-    /// Build the scene at the full triangle count of the paper's asset.
-    pub fn build_full(self) -> Scene {
-        self.build_with_tris(self.paper_triangle_count())
-    }
 }
 
 impl std::fmt::Display for SceneKind {

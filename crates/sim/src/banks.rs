@@ -78,16 +78,6 @@ impl RegisterBanks {
         self.total_writes += 1;
     }
 
-    /// Record `n` raw accesses on an explicit bank (used by the swap engine
-    /// which addresses rows directly).
-    pub fn raw_access(&mut self, bank: usize, n: u32) {
-        self.usage[bank % self.banks] += n;
-        if n > 0 {
-            self.dirty = true;
-        }
-        self.total_reads += n as u64;
-    }
-
     /// Banks whose read port went unused this cycle.
     pub fn idle_banks(&self) -> Vec<bool> {
         self.usage.iter().map(|&u| u == 0).collect()
@@ -107,11 +97,6 @@ impl RegisterBanks {
             self.usage.fill(0);
             self.dirty = false;
         }
-    }
-
-    /// Number of banks.
-    pub fn bank_count(&self) -> usize {
-        self.banks
     }
 }
 

@@ -60,16 +60,6 @@ impl StreamStats {
     pub fn avg_inner(&self) -> f64 {
         self.total_inner as f64 / self.rays.max(1) as f64
     }
-
-    /// Mean leaf visits per ray.
-    pub fn avg_leaf(&self) -> f64 {
-        self.total_leaf as f64 / self.rays.max(1) as f64
-    }
-
-    /// Fraction of rays that terminated (escape or light) at this bounce.
-    pub fn termination_rate(&self) -> f64 {
-        (self.escaped + self.hit_light) as f64 / self.rays.max(1) as f64
-    }
 }
 
 /// Captured per-bounce ray streams for one scene.
